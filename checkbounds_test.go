@@ -3,7 +3,8 @@ package monge
 // The complexity-regression harness: TestCheckBounds re-measures every
 // row of Tables 1.1-1.3 on the simulated machines, asserts the measured
 // time grows like the claimed bound (flat shape ratio across the size
-// ladder), and exports the measurement as BENCH_monge.json.
+// ladder), and exports the measurement as JSON when CHECKBOUNDS_OUT
+// names a path (the committed copy is BENCH_monge.json).
 // TestExperimentsGolden then machine-checks the tables committed in
 // EXPERIMENTS.md against the same measurement, so the documentation can
 // never drift silently from the code. Both tests share one measurement
@@ -71,16 +72,21 @@ func TestCheckBounds(t *testing.T) {
 		})
 	}
 
-	f, err := os.Create("BENCH_monge.json")
-	if err != nil {
-		t.Fatalf("creating BENCH_monge.json: %v", err)
+	// CHECKBOUNDS_OUT=<path> exports the measurement as JSON (the
+	// committed copy is BENCH_monge.json). Unset, the test writes
+	// nothing, so a plain test run leaves the tree as it found it.
+	if path := os.Getenv("CHECKBOUNDS_OUT"); path != "" {
+		f, err := os.Create(path)
+		if err != nil {
+			t.Fatalf("creating %s: %v", path, err)
+		}
+		defer f.Close()
+		if err := rep.WriteJSON(f); err != nil {
+			t.Fatalf("writing %s: %v", path, err)
+		}
+		t.Logf("wrote %s (%d rows, tolerance %.1f, max_n %d)",
+			path, len(rep.Rows), rep.Tolerance, rep.MaxN)
 	}
-	defer f.Close()
-	if err := rep.WriteJSON(f); err != nil {
-		t.Fatalf("writing BENCH_monge.json: %v", err)
-	}
-	t.Logf("wrote BENCH_monge.json (%d rows, tolerance %.1f, max_n %d)",
-		len(rep.Rows), rep.Tolerance, rep.MaxN)
 
 	// CHECKBOUNDS_MD=<path> additionally exports the tables as markdown —
 	// the regeneration path for the golden tables in EXPERIMENTS.md.

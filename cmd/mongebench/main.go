@@ -745,9 +745,9 @@ func serveExp() {
 	s := marray.RandomStaircaseMonge(rng, n, n)
 	sf := marray.Func{M: n, N: n, F: s.At}
 	mix = append(mix, prep{q: serve.Query{Kind: serve.StaircaseRowMinima, A: sf}, idx: smawk.StaircaseRowMinima(s)})
-	// Hostile traffic: ties split at 1e-9 (exact leftmost tie-breaking
-	// or bust) and an inf-dominated staircase (mostly blocked rows, -1
-	// answers). Both are implicit-backed so the shard tile caches — and
+	// Hostile traffic: ties split at 2^-30, ~1e-9 (exact leftmost
+	// tie-breaking or bust) and an inf-dominated staircase (mostly
+	// blocked rows, -1 answers). Both are implicit-backed so the shard tile caches — and
 	// under the native backend the branchless scan kernels — see them.
 	nt := marray.RandomNearTieMonge(rng, n, n)
 	ntf := marray.Func{M: n, N: n, F: nt.At}

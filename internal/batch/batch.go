@@ -156,6 +156,18 @@ func (d *Driver) nativePool() *exec.Pool {
 	return exec.Default()
 }
 
+// Fanout reports how wide the driver's queries run: the pool a native
+// driver's kernels fan out on, and the context SetContext attached (nil
+// if none). The pool is nil on the PRAM backend, whose queries run on
+// the simulated machines. Callers that split work above the query level
+// (the min-plus engine's output-row blocks) size the split by it.
+func (d *Driver) Fanout() (*exec.Pool, context.Context) {
+	if d.backend != BackendNative {
+		return nil, d.ctx
+	}
+	return d.nativePool(), d.ctx
+}
+
 // checkRowQuery rejects degenerate row-query shapes at the driver seam,
 // so both backends fail m=0 / n=0 inputs with the same typed error
 // instead of backend-dependent silent answers (the PRAM core used to

@@ -202,19 +202,23 @@ func ChainDistanceMatrix(p, q []Point) Matrix {
 
 // RandomNearTieMonge returns a Monge array whose entries collide at two
 // scales: a spread-1 integer Monge base (exact ties everywhere) plus a
-// second integer Monge term scaled down to 1e-9, which splits most exact
-// ties by amounts that vanish under naive float tolerance. Exact
-// comparisons (and exact leftmost tie-breaking on the surviving ties)
-// are the only way through such inputs — any epsilon-based shortcut in
-// a kernel shows up as an index mismatch. The sum of two Monge arrays
-// is Monge, so the construction is valid by design.
+// second integer Monge term scaled down to 2^-30 (about 1e-9), which
+// splits most exact ties by amounts that vanish under naive float
+// tolerance. Exact comparisons (and exact leftmost tie-breaking on the
+// surviving ties) are the only way through such inputs — any
+// epsilon-based shortcut in a kernel shows up as an index mismatch. The
+// sum of two Monge arrays is Monge; for m·n up to 2^22 the power-of-two
+// scale keeps every entry, and every sum of two entries, exact in
+// float64, so the array is Monge as stored and so are the (min,+)
+// slices built from it. (A 1e-9 scale rounds, which breaks the Monge
+// inequality by an ulp.)
 func RandomNearTieMonge(rng *rand.Rand, m, n int) *Dense {
 	base := RandomMongeInt(rng, m, n, 1)
 	tiny := RandomMongeInt(rng, m, n, 2)
 	d := NewDense(m, n)
 	for i := 0; i < m; i++ {
 		for j := 0; j < n; j++ {
-			d.Set(i, j, base.At(i, j)+1e-9*tiny.At(i, j))
+			d.Set(i, j, base.At(i, j)+0x1p-30*tiny.At(i, j))
 		}
 	}
 	return d

@@ -236,7 +236,12 @@ func (b stairBand) Boundary(i int) int { return b.s.Boundary(b.I0 + i) }
 // properties (boundaries of a row subset stay nonincreasing), and unlike
 // Window the result keeps a Staircase parent's cheap Boundary. The native
 // backend cuts queries into these bands for its block-parallel solvers.
+// The band of all rows is a itself, so a query solved in one piece
+// reads its input without a window indirection per entry.
 func RowBand(a Matrix, i0, m int) Matrix {
+	if i0 == 0 && m == a.Rows() {
+		return a
+	}
 	w := Window(a, i0, 0, m, a.Cols())
 	if s, ok := a.(Staircase); ok {
 		return stairBand{Sub: w.(Sub), s: s}

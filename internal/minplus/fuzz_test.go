@@ -10,11 +10,13 @@ import (
 )
 
 // FuzzMinPlusMatchesNaive drives the (min,+) engine with hostile factor
-// families — tie-dense integer Monge, 1e-9 near-tie perturbations,
-// inf-heavy staircases, and huge-aspect shapes down to 1×n and n×1 —
-// and checks every product three ways: the naive O(mqr) oracle, the
-// PRAM backend, and the native backend must agree on every value AND
-// every witness index (leftmost ties, -1 on blocked entries).
+// families — tie-dense integer Monge, 2^-30 (~1e-9) near-tie
+// perturbations, inf-heavy staircases, and huge-aspect shapes down to
+// 1×n and n×1 — and checks every product four ways: the naive O(mqr)
+// oracle, the PRAM backend, the native backend, and a width-4 native
+// engine, which runs every product of two or more rows as output-row
+// blocks, must agree on every value AND every witness index (leftmost
+// ties, -1 on blocked entries).
 //
 // Run locally with
 //
@@ -54,11 +56,12 @@ func FuzzMinPlusMatchesNaive(f *testing.F) {
 			b = marray.RandomInfHeavyStaircase(rng, q, r)
 		}
 		want, wit := MultiplyNaive(a, b)
+		blocks := nativeEngine(4)
 		for _, bk := range []struct {
 			name string
-			be   batch.Backend
-		}{{"pram", batch.BackendPRAM}, {"native", batch.BackendNative}} {
-			e := New(bk.be)
+			e    *Engine
+		}{{"pram", New(batch.BackendPRAM)}, {"native", New(batch.BackendNative)}, {"native-w4-blocks", blocks}} {
+			e := bk.e
 			p := e.Multiply(a, b)
 			for i := 0; i < m; i++ {
 				for k := 0; k < r; k++ {
@@ -73,5 +76,6 @@ func FuzzMinPlusMatchesNaive(f *testing.F) {
 			}
 			e.Close()
 		}
+		blocks.Driver().Close()
 	})
 }

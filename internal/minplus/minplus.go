@@ -11,11 +11,28 @@
 // cancel in every 2x2 minor of W_i, so W_i is Monge whenever B is, and
 // the whole multiplication becomes a stream of m same-shape totally
 // monotone row-minima queries: O(m(q+r)) evaluations via SMAWK against
-// the naive O(mqr). The queries run through an internal/batch Driver —
-// one retained machine per shape class on the PRAM backend, the
-// work-stealing block kernels of internal/native otherwise — and every
-// answer lands in one reused witness buffer, so the engine allocates
-// only the product's run arrays.
+// the naive O(mqr).
+//
+// # Execution
+//
+// The queries run through an internal/batch Driver. Output rows are
+// independent, so a native driver wider than one worker gets row
+// parallelism rather than per-query fan-out: the m rows are cut into a
+// few contiguous blocks per worker, the blocks run as one work-stealing
+// loop on the driver's pool, and every row query inside a block runs
+// inline on a width-1 native kernel with the block's own witness buffer
+// and run arrays, concatenated into the Product at the end. Width-1
+// drivers (every serve pool worker), PRAM drivers (one retained
+// machine per shape class, the conformance oracle) and single-row
+// products keep a sequential loop through the driver.
+//
+// On either path a slice reads A's row i from a copy made once per
+// output row, and reads B through a temporary dense transpose when the
+// copy costs no more evaluations than SMAWK makes (q·r <= m·(q+r)) and
+// fits a fixed byte cap. Every value is still the factors' own entries
+// summed in the same order, so products, witnesses and run breaks are
+// bit-identical for every driver width. The transposed copy and the
+// blocks' buffers do not outlive the call.
 //
 // # Blocked (+Inf) entries
 //
@@ -50,26 +67,29 @@
 package minplus
 
 import (
+	"context"
 	"math"
 
 	"monge/internal/batch"
+	"monge/internal/exec"
 	"monge/internal/marray"
 	"monge/internal/merr"
+	"monge/internal/native"
 	"monge/internal/pram"
 )
 
 // inf is the blocked-entry sentinel, shared with marray.
 var inf = math.Inf(1)
 
-// Engine multiplies Monge matrices through a batch.Driver. An Engine
-// is not goroutine-safe (it shares the driver's machines and its own
-// witness scratch); concurrent callers use one Engine per goroutine,
-// exactly like batch.Driver. The zero value is not usable; construct
-// with New or NewWith.
+// Engine multiplies Monge matrices through a batch.Driver, at the
+// driver's width: row blocks on a wide native driver, a sequential row
+// loop otherwise (see the package comment). An Engine is not
+// goroutine-safe (it shares the driver's machines); concurrent callers
+// use one Engine per goroutine, exactly like batch.Driver. The zero
+// value is not usable; construct with New or NewWith.
 type Engine struct {
 	d     *batch.Driver
 	owned bool
-	wit   []int // reused per-row witness buffer
 }
 
 // New returns an Engine owning a private CRCW-mode driver on the given
@@ -139,54 +159,182 @@ func hasBlockedRows(x marray.Matrix) bool {
 	return false
 }
 
+const (
+	// blocksPerWorker cuts the output rows into a few blocks per worker,
+	// so work stealing evens out rows of unequal cost (staircase slices).
+	blocksPerWorker = 4
+	// maxTransposeBytes caps the temporary transposed copy of B: 32 MiB
+	// (a 2048x2048 factor) bounds what one product adds to the heap.
+	maxTransposeBytes = 32 << 20
+)
+
+// serialPool is the width-1 pool every row query of a row block runs
+// on: one-worker pools run inline and never start a goroutine.
+var serialPool = exec.NewPool(1)
+
+// slice is the row-minima query of one output row i: the r x q array
+// W_i[k][j] = A[i][j] + B[j][k], with A's row i hoisted into arow and B
+// read through its dense transpose bt when the engine made one. Both
+// operands are the factors' own entries, so every value is the same
+// float sum the naive oracle forms.
+type slice struct {
+	arow []float64
+	b    marray.Matrix
+	bt   *marray.Dense // B transposed, or nil to read b directly
+}
+
+func (s *slice) Rows() int { return s.b.Cols() }
+func (s *slice) Cols() int { return len(s.arow) }
+func (s *slice) At(k, j int) float64 {
+	if s.bt != nil {
+		return s.arow[j] + s.bt.At(k, j)
+	}
+	return s.arow[j] + s.b.At(j, k)
+}
+
+// band is the run-length encoding of a contiguous range of output rows:
+// the slice query and witness buffer it solves them with, the runs, and
+// ends[t], the run count after the range's t-th row.
+type band struct {
+	w          slice
+	wit        []int
+	runK, runJ []int32
+	ends       []int32
+	fail       any // panic recovered on a pool worker, re-thrown by the caller
+}
+
+// newBand returns a band of len(ends) output rows of a product with
+// right factor b (bt its transposed copy or nil) and inner dimension q.
+func newBand(b marray.Matrix, bt *marray.Dense, q int, ends []int32) *band {
+	return &band{
+		w:    slice{arow: make([]float64, q), b: b, bt: bt},
+		wit:  make([]int, b.Cols()),
+		runK: make([]int32, 0, 2*len(ends)),
+		runJ: make([]int32, 0, 2*len(ends)),
+		ends: ends,
+	}
+}
+
+// row solves output row i (the band's t-th) with the row-minima kernel
+// query, normalizes +Inf entries to witness -1, and run-length encodes
+// the witnesses: a run break wherever the argmin row of B changes.
+func (bd *band) row(a marray.Matrix, i, t int, query func(marray.Matrix, []int)) {
+	for j := range bd.w.arow {
+		bd.w.arow[j] = a.At(i, j)
+	}
+	query(&bd.w, bd.wit)
+	prev := int32(math.MinInt32)
+	for k, wj := range bd.wit {
+		j := int32(wj)
+		if j >= 0 && math.IsInf(bd.w.At(k, wj), 1) {
+			j = -1
+		}
+		if j != prev {
+			bd.runK = append(bd.runK, int32(k))
+			bd.runJ = append(bd.runJ, j)
+			prev = j
+		}
+	}
+	bd.ends[t] = int32(len(bd.runK))
+}
+
 // multiply is the shared core: one row-minima query per output row on
-// the slice W_i[k][j] = A[i][j] + B[j][k], stair selecting the
-// staircase kernels. The M-link solver calls it with stair=false on
-// its triangular matrices (plain total monotonicity, see the package
-// comment).
+// the slice W_i, stair selecting the staircase kernels, in row blocks
+// or a sequential loop as the package comment describes. The M-link
+// solver calls it with stair=false on its triangular matrices (plain
+// total monotonicity, see the package comment).
 func (e *Engine) multiply(a, b marray.Matrix, stair bool) *Product {
 	m, q, r := a.Rows(), a.Cols(), b.Cols()
-	if cap(e.wit) < r {
-		e.wit = make([]int, r)
+	p := &Product{m: m, r: r, a: a, b: b, rowStart: make([]int32, m+1)}
+	// The transposed copy of B lives only for this call.
+	var bt *marray.Dense
+	if transposePays(m, q, r) {
+		bt = marray.Materialize(marray.Transpose(b))
 	}
-	wit := e.wit[:r]
+	pool, ctx := e.d.Fanout()
+	if nb := rowBlocks(pool, m); nb > 1 {
+		multiplyBlocks(ctx, pool, p, bt, stair, nb)
+		return p
+	}
 
-	p := &Product{
-		m: m, r: r, a: a, b: b,
-		rowStart: make([]int32, m+1),
-		runK:     make([]int32, 0, 2*m),
-		runJ:     make([]int32, 0, 2*m),
+	query := e.d.RowMinimaInto
+	if stair {
+		query = e.d.StaircaseRowMinimaInto
 	}
-	// One slice view serves every output row: the interface conversion
-	// and the closure are hoisted, so the loop body allocates nothing.
-	row := 0
-	var wi marray.Matrix = marray.Func{M: r, N: q, F: func(k, j int) float64 {
-		return a.At(row, j) + b.At(j, k)
-	}}
+	bd := newBand(b, bt, q, p.rowStart[1:])
 	for i := 0; i < m; i++ {
-		row = i
-		if stair {
-			e.d.StaircaseRowMinimaInto(wi, wit)
-		} else {
-			e.d.RowMinimaInto(wi, wit)
-		}
-		// Normalize +Inf entries to witness -1 and run-length encode:
-		// a run break wherever the argmin row of B changes.
-		prev := int32(math.MinInt32)
-		for k := 0; k < r; k++ {
-			j := int32(wit[k])
-			if j >= 0 && math.IsInf(a.At(i, int(j))+b.At(int(j), k), 1) {
-				j = -1
-			}
-			if j != prev {
-				p.runK = append(p.runK, int32(k))
-				p.runJ = append(p.runJ, j)
-				prev = j
-			}
-		}
-		p.rowStart[i+1] = int32(len(p.runK))
+		bd.row(a, i, i, query)
 	}
+	p.runK, p.runJ = bd.runK, bd.runJ
 	return p
+}
+
+// rowBlocks returns how many output-row blocks a product of m rows
+// runs as on pool; 1 keeps the sequential loop.
+func rowBlocks(pool *exec.Pool, m int) int {
+	if pool == nil || pool.Workers() <= 1 || m <= 1 {
+		return 1
+	}
+	return min(m, blocksPerWorker*pool.Workers())
+}
+
+// transposePays reports whether the slices read B through a dense
+// transposed copy. Reading B down a column costs an implicit At per
+// entry; the copy turns each slice row into one contiguous row. It pays
+// when it costs no more evaluations than the ~m·(q+r) SMAWK makes and
+// fits maxTransposeBytes.
+func transposePays(m, q, r int) bool {
+	qr := int64(q) * int64(r)
+	return qr <= int64(m)*int64(q+r) && 8*qr <= maxTransposeBytes
+}
+
+// multiplyBlocks fills p by nb contiguous output-row blocks run as one
+// Grain=1 loop on pool, each with its own slice, witness buffer and run
+// arrays, then concatenates the blocks' runs with rowStart rebased.
+// Cancellation (ctx done before or between row queries) and any panic
+// a worker recovers surface on the calling goroutine.
+func multiplyBlocks(ctx context.Context, pool *exec.Pool, p *Product, bt *marray.Dense, stair bool, nb int) {
+	a, b, m, q := p.a, p.b, p.m, p.a.Cols()
+	kernel := native.RowMinimaInto
+	if stair {
+		kernel = native.StaircaseRowMinimaInto
+	}
+	query := func(w marray.Matrix, out []int) { kernel(ctx, serialPool, w, out) }
+	bands := make([]*band, nb) // nil where cancellation skipped the block
+	_, err := pool.Run(exec.Loop{
+		N: nb, Grain: 1, Ctx: ctx,
+		Body: func(k int) {
+			lo, hi := k*m/nb, (k+1)*m/nb
+			bd := newBand(b, bt, q, make([]int32, hi-lo))
+			bands[k] = bd
+			defer func() { bd.fail = recover() }()
+			for i := lo; i < hi; i++ {
+				bd.row(a, i, i-lo, query)
+			}
+		},
+	})
+	for _, bd := range bands {
+		if bd != nil && bd.fail != nil {
+			panic(bd.fail)
+		}
+	}
+	if err != nil {
+		merr.Throw(merr.Canceled(err))
+	}
+	total := 0
+	for _, bd := range bands {
+		total += len(bd.runK)
+	}
+	p.runK = make([]int32, 0, total)
+	p.runJ = make([]int32, 0, total)
+	for k, bd := range bands {
+		base, lo := int32(len(p.runK)), k*m/nb
+		for t, end := range bd.ends {
+			p.rowStart[lo+t+1] = base + end
+		}
+		p.runK = append(p.runK, bd.runK...)
+		p.runJ = append(p.runJ, bd.runJ...)
+	}
 }
 
 // Product is the run-sparse (core) representation of a (min,+)

@@ -70,7 +70,7 @@ func rowFamilies(rng *rand.Rand, m, n int) []rowCase {
 		{"func", marray.Func{M: m, N: n, F: dense.At}},
 		{"ties", ties},
 		{"all-ties", marray.Func{M: m, N: n, F: func(int, int) float64 { return 7 }}},
-		// Ties split at the 1e-9 scale: exact comparison and exact
+		// Ties split at the 2^-30 (~1e-9) scale: exact comparison and exact
 		// leftmost tie-breaking are the only way through. Run dense so
 		// the branchless scan kernels face it, and Func-backed so the
 		// generic At path faces the identical input.

@@ -585,8 +585,8 @@ func (p *Pool) worker(id int) {
 		d.SetFaults(p.opt.Faults)
 	}
 	defer d.Close()
-	// The worker's (min,+) engine borrows its driver, so the engine's
-	// witness scratch and the driver's machines stay shard-private.
+	// The worker's (min,+) engine borrows its driver, so the driver's
+	// machines stay shard-private.
 	eng := minplus.NewWith(d)
 	for t := range p.queue {
 		if p.obsC != nil {

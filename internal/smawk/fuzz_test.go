@@ -92,7 +92,7 @@ func FuzzSMAWKMatchesBrute(f *testing.F) {
 			marray.RandomMonge(rng, m, n),
 			marray.RandomMongeInt(rng, m, n, 3),
 			marray.RandomMongeInt(rng, m, n, 2),  // tie-dense
-			marray.RandomNearTieMonge(rng, m, n), // near-degenerate 1e-9 ties
+			marray.RandomNearTieMonge(rng, m, n), // near-degenerate 2^-30 (~1e-9) ties
 		} {
 			want := smawk.RowMinimaBrute(a)
 			if i := diffIdx(smawk.RowMinima(a), want); i >= 0 {
