@@ -684,8 +684,8 @@ func BenchmarkObsOverhead(b *testing.B) {
 // --- Concurrent serving: DriverPool throughput -----------------------------
 
 // BenchmarkDriverPoolThroughput measures end-to-end queries/sec of the
-// sharded serving layer on an n=1024 row-minima mix (implicit-backed, so
-// the per-shard tile caches participate), at 1, 2, 4, and GOMAXPROCS
+// sharded serving layer on an n=1024 row-minima mix of implicit inputs,
+// evaluated directly by the workers, at 1, 2, 4, and GOMAXPROCS
 // workers. The headline metric is queries/s; wall-clock scaling across
 // the worker ladder is what BENCH_throughput.json records and CI gates.
 // On a single-core runner the ladder is flat by construction — the
@@ -709,7 +709,7 @@ func driverPoolThroughput(b *testing.B, be Backend) {
 	const queriesPerOp = 32
 	rng := rand.New(rand.NewSource(1))
 	// Distinct matrices, round-robined, so shards can't ride one warm
-	// tile working set.
+	// working set.
 	mats := make([]Matrix, 8)
 	for i := range mats {
 		d := marray.RandomMonge(rng, n, n)
@@ -746,9 +746,6 @@ func driverPoolThroughput(b *testing.B, be Backend) {
 			b.ReportMetric(float64(b.N*queriesPerOp)/elapsed.Seconds(), "queries/s")
 			st := pool.Stats()
 			b.ReportMetric(float64(st.Imbalance), "imbalance")
-			if probes := st.CacheHits + st.CacheMisses; probes > 0 {
-				b.ReportMetric(100*float64(st.CacheHits)/float64(probes), "cache-hit-%")
-			}
 		})
 	}
 }

@@ -19,9 +19,8 @@
 // staircase, and tube queries through the concurrent driver pool
 // (internal/serve): -workers shards, optionally throttled to -qps
 // submissions per second, -queries total. It reports achieved
-// queries/sec, the per-shard query split and imbalance, and the
-// tile-cache hit rate, and checks every answer index-for-index against
-// the sequential facade. -faults and -timeout compose with it like with
+// queries/sec and the per-shard query split and imbalance, and checks
+// every answer index-for-index against the sequential facade. -faults and -timeout compose with it like with
 // every other experiment.
 //
 // Each row reports the charged time of the simulated machine at a ladder
@@ -155,7 +154,7 @@ func mainImpl(args []string, stdout, stderr io.Writer) (code int) {
 	fs.IntVar(&maxN, "maxn", 2048, "largest problem size in the ladder")
 	fs.Int64Var(&seed, "seed", 1, "workload seed")
 	fs.IntVar(&batchN, "batch", 0, "run N same-shape queries per ladder size through the batched driver (internal/batch) instead of the -exp experiments, comparing amortized cost against fresh machines")
-	fs.BoolVar(&serveOn, "serve", false, "drive a synthetic query mix through the concurrent driver pool (internal/serve) instead of the -exp experiments, reporting throughput, shard balance, and cache traffic")
+	fs.BoolVar(&serveOn, "serve", false, "drive a synthetic query mix through the concurrent driver pool (internal/serve) instead of the -exp experiments, reporting throughput and shard balance")
 	fs.BoolVar(&openLoop, "openloop", false, "with -serve: open-loop latency mode — fire queries at fixed -qps rungs (0.5x, 1x, 2x) regardless of completions, through the admission front, reporting p50/p95/p99 latency and rejection rate per rung")
 	fs.StringVar(&latOut, "latency-out", "", "with -openloop: write the latency ladder as JSON (schema monge-latency/v1) to this file (\"-\" for stdout)")
 	fs.StringVar(&backendF, "backend", "pram", "execution backend for -serve and -batch: pram (simulated machines) or native (direct goroutine kernels)")
@@ -718,8 +717,8 @@ func batchExp(k int) {
 
 // serveExp drives the concurrent driver pool (internal/serve) with a
 // synthetic mix of row-minima, staircase, and tube queries, optionally
-// throttled to -qps, and reports achieved throughput, shard balance,
-// and tile-cache traffic. Every answer is checked index-for-index
+// throttled to -qps, and reports achieved throughput and shard balance.
+// Every answer is checked index-for-index
 // against the sequential facade computed up front — concurrency must
 // never change an answer. The -faults and -timeout flags pass through:
 // machines inside the pool attach the process-global injector and the
@@ -729,8 +728,8 @@ func serveExp() {
 	n := min(maxN, 512)
 	tubeN := min(n, 24)
 
-	// A small rotating set of distinct inputs, implicit-backed so the
-	// per-shard tile caches participate.
+	// A small rotating set of distinct inputs, implicit-backed like the
+	// serving workloads.
 	type prep struct {
 		q    serve.Query
 		idx  []int
@@ -747,8 +746,9 @@ func serveExp() {
 	mix = append(mix, prep{q: serve.Query{Kind: serve.StaircaseRowMinima, A: sf}, idx: smawk.StaircaseRowMinima(s)})
 	// Hostile traffic: ties split at 2^-30, ~1e-9 (exact leftmost
 	// tie-breaking or bust) and an inf-dominated staircase (mostly
-	// blocked rows, -1 answers). Both are implicit-backed so the shard tile caches — and
-	// under the native backend the branchless scan kernels — see them.
+	// blocked rows, -1 answers). Both are implicit-backed so the
+	// workers — and under the native backend the branchless scan
+	// kernels — see them.
 	nt := marray.RandomNearTieMonge(rng, n, n)
 	ntf := marray.Func{M: n, N: n, F: nt.At}
 	mix = append(mix, prep{q: serve.Query{Kind: serve.RowMinima, A: ntf}, idx: smawk.RowMinima(nt)})
@@ -811,13 +811,9 @@ func serveExp() {
 	if mismatches > 0 {
 		match = fmt.Sprintf("%d MISMATCHES", mismatches)
 	}
-	hitRate := 0.0
-	if probes := st.CacheHits + st.CacheMisses; probes > 0 {
-		hitRate = float64(st.CacheHits) / float64(probes)
-	}
-	printf("%10s %12s %10s %10s %12s %8s\n", "queries", "elapsed", "qps", "imbalance", "cache-hit%", "match")
-	printf("%10d %12v %10.0f %10d %11.1f%% %8s\n", st.Queries, elapsed.Round(time.Millisecond),
-		float64(st.Queries)/elapsed.Seconds(), st.Imbalance, 100*hitRate, match)
+	printf("%10s %12s %10s %10s %8s\n", "queries", "elapsed", "qps", "imbalance", "match")
+	printf("%10d %12v %10.0f %10d %8s\n", st.Queries, elapsed.Round(time.Millisecond),
+		float64(st.Queries)/elapsed.Seconds(), st.Imbalance, match)
 	printf("   per-shard queries:")
 	for _, q := range st.PerWorker {
 		printf(" %d", q)

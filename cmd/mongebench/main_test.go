@@ -126,7 +126,7 @@ func parseMetrics(t *testing.T, stdout string) map[string]metricsRow {
 	}
 	for _, ln := range lines[start:] {
 		f := strings.Fields(ln)
-		if len(f) != 21 { // site + 20 counter columns (see obs.WriteTable)
+		if len(f) != 19 { // site + 18 counter columns (see obs.WriteTable)
 			continue
 		}
 		rows[f[0]] = metricsRow{

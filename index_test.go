@@ -175,8 +175,8 @@ func TestBuildIndexFacade(t *testing.T) {
 }
 
 // TestDriverPoolIndexQueries covers the pool surface of the index
-// kinds: tickets, per-query contexts, the Do lifecycle with its request
-// builders, and the calling-goroutine range screens.
+// kinds: Submit tickets, per-query contexts, and the Do lifecycle.
+// Their rejections are in TestDriverPoolScreens.
 func TestDriverPoolIndexQueries(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	a := marray.RandomMongeInt(rng, 48, 48, 5)
@@ -187,14 +187,15 @@ func TestDriverPoolIndexQueries(t *testing.T) {
 	dp := NewDriverPool(CRCW, 2)
 	defer dp.Close()
 
-	tk, err := dp.SubmatrixMax(ix, 4, 40, 3, 30)
+	ctx := context.Background()
+	tk, err := dp.Submit(ctx, SubmatrixMaxRequest(ix, 4, 40, 3, 30))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res := tk.Result(); res.Err != nil || res.Pos != mindex.SubmatrixMaxBrute(a, 4, 40, 3, 30) {
 		t.Fatalf("pool submax: %+v", res)
 	}
-	tk, err = dp.RangeRowMinima(ix, 10, 20)
+	tk, err = dp.Submit(ctx, RangeRowMinimaRequest(ix, 10, 20))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,30 +203,18 @@ func TestDriverPoolIndexQueries(t *testing.T) {
 	if res.Err != nil || len(res.Idx) != 11 {
 		t.Fatalf("pool range-row-minima: %+v", res)
 	}
-	if res2 := dp.Do(context.Background(), SubmatrixMaxRequest(ix, 0, 47, 0, 47)); res2.Err != nil ||
+	if res2 := dp.Do(ctx, SubmatrixMaxRequest(ix, 0, 47, 0, 47)); res2.Err != nil ||
 		res2.Pos != mindex.SubmatrixMaxBrute(a, 0, 47, 0, 47) {
 		t.Fatalf("Do submax: %+v", res2)
 	}
-	if res2 := dp.Do(context.Background(), RangeRowMinimaRequest(ix, 0, 47)); res2.Err != nil || len(res2.Idx) != 48 {
+	if res2 := dp.Do(ctx, RangeRowMinimaRequest(ix, 0, 47)); res2.Err != nil || len(res2.Idx) != 48 {
 		t.Fatalf("Do range-row-minima: %+v", res2)
 	}
 
-	// Screens run before submission: bad ranges and nil indexes never
-	// reach the queue.
-	if _, err := dp.SubmatrixMax(ix, 0, 48, 0, 47); !errors.Is(err, ErrDimensionMismatch) {
-		t.Fatalf("row overflow: err=%v, want ErrDimensionMismatch", err)
-	}
-	if _, err := dp.RangeRowMinima(nil, 0, 1); !errors.Is(err, ErrDimensionMismatch) {
-		t.Fatalf("nil index: err=%v, want ErrDimensionMismatch", err)
-	}
-	if res := dp.Do(context.Background(), SubmatrixMaxRequest(ix, -1, 0, 0, 0)); !errors.Is(res.Err, ErrDimensionMismatch) {
-		t.Fatalf("Do bad rect: err=%v, want ErrDimensionMismatch", res.Err)
-	}
-
 	// A canceled per-query context resolves the ticket with ErrCanceled.
-	ctx, cancel := context.WithCancel(context.Background())
+	canceled, cancel := context.WithCancel(ctx)
 	cancel()
-	tk, err = dp.SubmatrixMaxCtx(ctx, ix, 0, 47, 0, 47)
+	tk, err = dp.Submit(canceled, SubmatrixMaxRequest(ix, 0, 47, 0, 47))
 	if err == nil {
 		if res := tk.Result(); !errors.Is(res.Err, ErrCanceled) {
 			t.Fatalf("canceled ctx: err=%v, want ErrCanceled", res.Err)

@@ -124,10 +124,9 @@ type QueryResponse struct {
 
 // IndexRequest is the POST /v1/index body: the matrix to preprocess
 // (null entries mark staircase blocking, which must be right/down
-// closed) and an optional tile-cache size for the build.
+// closed).
 type IndexRequest struct {
-	A     [][]Entry `json:"a"`
-	Tiles int       `json:"tiles,omitempty"`
+	A [][]Entry `json:"a"`
 }
 
 // IndexResponse is the POST /v1/index success body.
@@ -273,7 +272,7 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 	}
 	var ix *mindex.Index
 	start := time.Now()
-	if err := catch(func() { ix = mindex.Build(a, mindex.Opts{Tiles: ir.Tiles}) }); err != nil {
+	if err := catch(func() { ix = mindex.Build(a, mindex.Opts{}) }); err != nil {
 		status, code := classify(err)
 		writeError(w, status, code, err.Error())
 		return
@@ -357,6 +356,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, status, code, err.Error())
 		return
 	}
+	if err := q.Screen(); err != nil {
+		writeError(w, http.StatusBadRequest, "bad_request", err.Error())
+		return
+	}
 	ctx := r.Context()
 	if qr.DeadlineMS > 0 {
 		var cancel context.CancelFunc
@@ -395,36 +398,27 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
-// buildQuery validates and converts the JSON request into a pool
-// query, running the sampled structural screens (and, for the
-// index-backed kinds, the registry lookup and range checks) on the
-// handler goroutine so bad inputs are rejected before admission. On
-// failure it returns the HTTP status and short code alongside the
-// error: 404/"not_found" for an unknown index_id, 400/"bad_request"
-// otherwise.
+// buildQuery converts the JSON request into a pool query: it
+// materializes the matrices and resolves an index_id through the
+// registry. The caller screens the query (serve.Query.Screen) before
+// admission. On failure it returns the HTTP status and short code
+// alongside the error: 404/"not_found" for an unknown index_id,
+// 400/"bad_request" otherwise.
 func (s *Server) buildQuery(qr *QueryRequest) (serve.Query, int, string, error) {
 	bad := func(err error) (serve.Query, int, string, error) {
 		return serve.Query{}, http.StatusBadRequest, "bad_request", err
 	}
 	switch qr.Kind {
-	case "row-minima":
+	case "row-minima", "staircase-row-minima":
 		a, err := denseOf(qr.A, "a")
 		if err != nil {
 			return bad(err)
 		}
-		if err := marray.CheckMongeSampled(a); err != nil {
-			return bad(err)
+		kind := serve.RowMinima
+		if qr.Kind == "staircase-row-minima" {
+			kind = serve.StaircaseRowMinima
 		}
-		return serve.Query{Kind: serve.RowMinima, A: a}, 0, "", nil
-	case "staircase-row-minima":
-		a, err := denseOf(qr.A, "a")
-		if err != nil {
-			return bad(err)
-		}
-		if err := marray.CheckStaircaseMongeSampled(a); err != nil {
-			return bad(err)
-		}
-		return serve.Query{Kind: serve.StaircaseRowMinima, A: a}, 0, "", nil
+		return serve.Query{Kind: kind, A: a}, 0, "", nil
 	case "tube-maxima":
 		d, err := denseOf(qr.D, "d")
 		if err != nil {
@@ -432,12 +426,6 @@ func (s *Server) buildQuery(qr *QueryRequest) (serve.Query, int, string, error) 
 		}
 		e, err := denseOf(qr.E, "e")
 		if err != nil {
-			return bad(err)
-		}
-		if err := marray.CheckMongeSampled(d); err != nil {
-			return bad(err)
-		}
-		if err := marray.CheckMongeSampled(e); err != nil {
 			return bad(err)
 		}
 		var c marray.Composite
@@ -451,17 +439,11 @@ func (s *Server) buildQuery(qr *QueryRequest) (serve.Query, int, string, error) 
 			return serve.Query{}, http.StatusNotFound, "not_found",
 				fmt.Errorf("unknown index_id %q", qr.IndexID)
 		}
-		if qr.Kind == "submax" {
-			if err := ix.CheckSubmatrix(qr.R1, qr.R2, qr.C1, qr.C2); err != nil {
-				return bad(err)
-			}
-			return serve.Query{Kind: serve.SubmatrixMax, Index: ix,
-				R1: qr.R1, R2: qr.R2, C1: qr.C1, C2: qr.C2}, 0, "", nil
+		kind := serve.SubmatrixMax
+		if qr.Kind == "range-row-minima" {
+			kind = serve.RangeRowMinima
 		}
-		if err := ix.CheckRowRange(qr.R1, qr.R2); err != nil {
-			return bad(err)
-		}
-		return serve.Query{Kind: serve.RangeRowMinima, Index: ix, R1: qr.R1, R2: qr.R2}, 0, "", nil
+		return serve.Query{Kind: kind, Index: ix, R1: qr.R1, R2: qr.R2, C1: qr.C1, C2: qr.C2}, 0, "", nil
 	default:
 		return bad(fmt.Errorf("unknown kind %q (want row-minima, staircase-row-minima, tube-maxima, submax, or range-row-minima)", qr.Kind))
 	}

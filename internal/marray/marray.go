@@ -338,6 +338,29 @@ func BoundaryOf(a Matrix, i int) int {
 	return lo
 }
 
+// StairProbe returns a as-is when it already implements Staircase or
+// carries no blocked entries; otherwise (a dense staircase matrix) it
+// probes every row's blocked boundary and wraps a as a StairFunc, so
+// the staircase validators and solvers see the structure they expect.
+func StairProbe(a Matrix) Matrix {
+	if _, ok := a.(Staircase); ok || a.Rows() <= 0 || a.Cols() <= 0 {
+		return a
+	}
+	m, n := a.Rows(), a.Cols()
+	bound := make([]int, m)
+	blocked := false
+	for i := range bound {
+		bound[i] = BoundaryOf(a, i)
+		if bound[i] < n {
+			blocked = true
+		}
+	}
+	if !blocked {
+		return a
+	}
+	return StairFunc{M: m, N: n, F: a.At, Bound: func(i int) int { return bound[i] }}
+}
+
 // Composite is a p x q x r Monge-composite array c[i,j,k] = d[i,j] + e[j,k].
 //
 // Note on tube orientation: the SPAA '90 extended abstract defines the

@@ -16,8 +16,15 @@ package marray
 // matrix simply miss and are overwritten in place (no clearing pass).
 //
 // Dense matrices gain nothing from memoization (At is one bounds-checked
-// load); callers should wrap only function-backed inputs — the serving
-// layer's wrapCached does exactly that type test.
+// load); callers should wrap only function-backed inputs.
+//
+// No production path uses a TileCache now. The serving pool and the
+// submatrix index both evaluate their inputs directly: the searching
+// algorithms on native goroutines and the index build touch most
+// entries once, so filling a whole 8x8 tile per miss over-evaluates and
+// every hit pays a shared atomic add. The type stays as the measured
+// alternative (the benchmark times a query through a fresh View beside
+// the same query on the raw input).
 
 import (
 	"sync"
@@ -36,10 +43,6 @@ const (
 	// non-positive capacity: 2048 tiles ≈ 1.1 MiB of cached values,
 	// covering a 360x360 implicit matrix entirely.
 	DefaultTiles = 2048
-
-	// TileSide is the exported tile side length, for callers sizing a
-	// cache to cover a given matrix shape.
-	TileSide = tileSide
 )
 
 // tile is one filled block of entries. ti/tj are the tile coordinates

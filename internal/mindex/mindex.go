@@ -45,12 +45,13 @@
 //
 // An Index is immutable after Build and safe for concurrent queries
 // from any number of goroutines; implicit (non-Dense) inputs are
-// evaluated through a private marray.TileCache view so repeated queries
-// hit memoized tiles. The build path participates in the repository's
-// deterministic fault discipline: an injector (Opts.Faults, defaulting
-// to the process-wide one) can declare any build unit transiently
-// faulty, and the builder recomputes that unit — results are pure, so
-// recovery is index-exact by construction.
+// evaluated directly, since the build sweeps each entry about once and
+// a query's boundary scans touch a few hundred. The build path
+// participates in the repository's deterministic fault discipline: an
+// injector (Opts.Faults, defaulting to the process-wide one) can
+// declare any build unit transiently faulty, and the builder recomputes
+// that unit — results are pure, so recovery is index-exact by
+// construction.
 package mindex
 
 import (
@@ -87,12 +88,6 @@ const (
 	packedMinIvals = 64
 )
 
-// autoTilesCap bounds the auto-sized tile cache wrapped around
-// implicit inputs at build time: 1<<14 tiles is ~9.5 MiB of cached
-// values, enough to cover a 1024x1024 input entirely so the build
-// evaluates each entry once.
-const autoTilesCap = 1 << 14
-
 // Pos is one submatrix-maximum answer: the value and its position. A
 // fully blocked (+Inf) rectangle has Row = Col = -1 and Val = -Inf.
 type Pos struct {
@@ -102,10 +97,6 @@ type Pos struct {
 
 // Opts configures Build. The zero value is usable.
 type Opts struct {
-	// Tiles sizes the tile cache wrapped around implicit (non-Dense)
-	// inputs for entry evaluation (rounded up to a power of two; <= 0
-	// means marray.DefaultTiles). Dense inputs are read directly.
-	Tiles int
 	// Faults is the build-path fault injector. Nil inherits the
 	// process-wide faults.Global injector, exactly as the simulated
 	// machines do; a firing injector forces deterministic recomputation
@@ -139,7 +130,7 @@ type node struct {
 // Monge or staircase-Monge array. Build it with Build; it is immutable
 // afterwards and safe for concurrent use.
 type Index struct {
-	a    marray.Matrix // evaluation view (tile-cached for implicit inputs)
+	a    marray.Matrix // the input, evaluated directly
 	d    *marray.Dense // non-nil for dense inputs: zero-copy row views
 	m, n int
 
@@ -181,24 +172,6 @@ func Build(a marray.Matrix, opt Opts) *Index {
 	ix := &Index{a: a, m: m, n: n}
 	if d, dense := a.(*marray.Dense); dense {
 		ix.d = d
-	} else {
-		tiles := opt.Tiles
-		if tiles <= 0 {
-			// Auto-size to the input: the build sweeps every entry at
-			// least once (row blocks) and the envelope merges re-probe
-			// columns, so covering the whole array — up to a cap —
-			// makes each implicit entry evaluate exactly once.
-			ti := (m + marray.TileSide - 1) / marray.TileSide
-			tj := (n + marray.TileSide - 1) / marray.TileSide
-			tiles = ti * tj
-			if tiles < marray.DefaultTiles {
-				tiles = marray.DefaultTiles
-			}
-			if tiles > autoTilesCap {
-				tiles = autoTilesCap
-			}
-		}
-		ix.a = marray.NewTileCache(tiles).View(a)
 	}
 
 	// One linear pass over the input: per-row block maxima. Everything

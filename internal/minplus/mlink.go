@@ -39,6 +39,32 @@ import (
 // w(i,j) + w(i',j') <= w(i,j') + w(i',j) for i < i' < j < j'.
 type Weight func(i, j int) float64
 
+// CheckLinkWeightSampled screens an M-link weight over nodes 0..n with
+// O(n) deterministic adjacent-quadruple probes of the concave quadrangle
+// inequality; like the sampled matrix screens it never rejects a valid
+// weight. A nil weight is ErrDimensionMismatch.
+func CheckLinkWeightSampled(n int, w Weight) error {
+	if w == nil {
+		return merr.Errorf(merr.ErrDimensionMismatch, "minplus: nil link weight")
+	}
+	step := n / 32
+	if step < 1 {
+		step = 1
+	}
+	for i := 0; i+3 <= n; i += step {
+		for _, j := range [3]int{i + 2, (i + 2 + n) / 2, n - 1} {
+			if j < i+2 || j+1 > n {
+				continue
+			}
+			if w(i, j)+w(i+1, j+1) > w(i, j+1)+w(i+1, j) {
+				return merr.Errorf(merr.ErrNotMonge,
+					"minplus: link weight violates the Monge inequality at quadruple (%d,%d,%d,%d)", i, i+1, j, j+1)
+			}
+		}
+	}
+	return nil
+}
+
 // Strategy selects the M-link algorithm.
 type Strategy int
 

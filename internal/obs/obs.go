@@ -117,13 +117,9 @@ type Counters struct {
 	// is a high-water gauge of the submit queue (raise with StoreMax);
 	// ShardImbalance is the spread between the busiest and idlest
 	// worker's served-query counts, recorded when the pool closes.
-	// CacheHits/CacheMisses count tile-cache probes of the memoized
-	// matrix views the pool's workers evaluate queries through.
 	QueriesServed  atomic.Int64
 	QueueDepthPeak atomic.Int64
 	ShardImbalance atomic.Int64
-	CacheHits      atomic.Int64
-	CacheMisses    atomic.Int64
 
 	// QueueDepth is a point-in-time gauge of the submit queue (stored,
 	// not accumulated, at every enqueue and dequeue), complementing the
@@ -195,8 +191,6 @@ type CounterSnapshot struct {
 	QueriesServed     int64 `json:"queries_served,omitempty"`
 	QueueDepthPeak    int64 `json:"queue_depth_peak,omitempty"`
 	ShardImbalance    int64 `json:"shard_imbalance,omitempty"`
-	CacheHits         int64 `json:"cache_hits,omitempty"`
-	CacheMisses       int64 `json:"cache_misses,omitempty"`
 
 	QueueDepth      int64 `json:"queue_depth,omitempty"`
 	Admitted        int64 `json:"admitted,omitempty"`
@@ -243,8 +237,6 @@ func (c *Counters) Snapshot() CounterSnapshot {
 		QueriesServed:     c.QueriesServed.Load(),
 		QueueDepthPeak:    c.QueueDepthPeak.Load(),
 		ShardImbalance:    c.ShardImbalance.Load(),
-		CacheHits:         c.CacheHits.Load(),
-		CacheMisses:       c.CacheMisses.Load(),
 		QueueDepth:        c.QueueDepth.Load(),
 		Admitted:          c.Admitted.Load(),
 		Rejected:          c.Rejected.Load(),
@@ -361,20 +353,20 @@ func (o *Observer) WriteTable(w io.Writer) error {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	if _, err := fmt.Fprintf(w, "%-22s %10s %12s %14s %12s %12s %10s %12s %12s %10s %10s %8s %8s %10s %10s %12s %8s %8s %6s %10s %10s\n",
+	if _, err := fmt.Fprintf(w, "%-22s %10s %12s %14s %12s %12s %10s %12s %12s %10s %10s %8s %8s %10s %10s %12s %8s %8s %6s\n",
 		"site", "supersteps", "time", "work", "reads", "writes", "conflicts", "link-msgs", "link-bytes", "loops", "chunks", "faults", "searches", "arena-hit", "arena-miss", "recycled-B",
-		"queries", "queue-pk", "imbal", "cache-hit", "cache-miss"); err != nil {
+		"queries", "queue-pk", "imbal"); err != nil {
 		return err
 	}
 	for _, name := range names {
 		s := snap[name]
 		conflicts := s.ConflictsSamePid + s.ConflictsPriority + s.ConflictsCREW
 		faultsTotal := s.FaultStalls + s.FaultDrops + s.FaultGarbles + s.FaultTimeouts
-		if _, err := fmt.Fprintf(w, "%-22s %10d %12d %14d %12d %12d %10d %12d %12d %10d %10d %8d %8d %10d %10d %12d %8d %8d %6d %10d %10d\n",
+		if _, err := fmt.Fprintf(w, "%-22s %10d %12d %14d %12d %12d %10d %12d %12d %10d %10d %8d %8d %10d %10d %12d %8d %8d %6d\n",
 			name, s.Supersteps, s.ChargedTime, s.ChargedWork, s.SharedReads, s.SharedWrites,
 			conflicts, s.LinkMessages, s.LinkBytes, s.PoolLoops, s.PoolChunks, faultsTotal, s.Searches,
 			s.ArenaHits, s.ArenaMisses, s.BytesRecycled,
-			s.QueriesServed, s.QueueDepthPeak, s.ShardImbalance, s.CacheHits, s.CacheMisses); err != nil {
+			s.QueriesServed, s.QueueDepthPeak, s.ShardImbalance); err != nil {
 			return err
 		}
 	}

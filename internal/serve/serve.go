@@ -4,17 +4,27 @@
 // arenas. A Pool gets concurrency the only way that preserves that
 // property — by sharding. It owns W worker goroutines, each with a
 // private batch.Driver (machines keyed per shape class, exactly as a
-// lone driver keys them) and private tile caches for implicit-matrix
-// evaluation, and feeds them from one submission queue. Queries are
-// answered index-exact with the sequential facade: sharding changes who
-// computes an answer, never the answer.
+// lone driver keys them), and feeds them from one submission queue.
+// Workers evaluate each query's input directly: no production path
+// memoizes entries (the marray tile cache stays only as a measured
+// alternative), because the searching algorithms on native goroutines
+// touch most entries once. Queries are answered index-exact with the
+// sequential facade: sharding changes who computes an answer, never the
+// answer.
 //
 // Each worker's machines run with a private one-worker pool
-// (batch.Driver.SetMachineWorkers), so a W-worker Pool is W independent
-// CPU-bound goroutines — supersteps execute inline on the worker, and
-// workers never contend for the shared exec pool's cores. That is the
-// right parallelism decomposition for a stream of many small queries:
-// across queries, not within one.
+// (batch.Driver.SetMachineWorkers(1)), so a W-worker Pool is W
+// independent CPU-bound goroutines — supersteps execute inline on the
+// worker, and workers never contend for the shared exec pool's cores.
+// That is the right parallelism decomposition for a stream of many
+// small queries: across queries, not within one.
+//
+// # Screening
+//
+// Query.Screen is the one place that decides which sampled structural
+// check each kind needs. The public facade and the HTTP front end call
+// it on the submitting goroutine before anything is enqueued; the Pool
+// itself does not, so its Submit family costs no screen.
 //
 // # Load discipline
 //
@@ -171,8 +181,7 @@ func errTicket(err error) *Ticket {
 }
 
 // Options configures a Pool. The zero value is usable: GOMAXPROCS
-// workers, background context, inherited fault injector, default-sized
-// tile caches.
+// workers, background context, inherited fault injector.
 type Options struct {
 	// Workers is the shard count; <= 0 means runtime.GOMAXPROCS(0).
 	Workers int
@@ -196,14 +205,6 @@ type Options struct {
 	// serving faults never change an answer — they only add latency the
 	// retry/hedging layer must absorb.
 	Chaos *faults.Injector
-	// CacheTiles sizes each worker's tile caches (tiles per cache,
-	// rounded up to a power of two; <= 0 means marray.DefaultTiles).
-	// Implicit (non-Dense) matrices are evaluated through these caches.
-	CacheTiles int
-	// MachineWorkers sets each worker driver's private machine pool
-	// width (batch.Driver.SetMachineWorkers); <= 0 means 1, the
-	// one-core-per-shard decomposition described in the package comment.
-	MachineWorkers int
 	// Backend selects the worker drivers' execution engine: the zero
 	// value batch.BackendPRAM serves on the simulated machines,
 	// batch.BackendNative on the direct goroutine kernels of
@@ -279,11 +280,6 @@ type Pool struct {
 	done     sync.WaitGroup // running workers
 	subSeq   atomic.Int64   // chaos unit ids for the submit path
 
-	// caches[w] holds worker w's two tile caches: one for row-problem
-	// matrices and tube factor D, one for tube factor E (separate so a
-	// tube query's factors cannot evict each other's tiles — the
-	// direct-mapped slot hash ignores which matrix a tile came from).
-	caches [][2]*marray.TileCache
 	served []shardCount
 
 	obsC *obs.Counters
@@ -318,17 +314,10 @@ func New(mode pram.Mode, opt Options) *Pool {
 		workers: w,
 		chaos:   opt.Chaos,
 		queue:   make(chan *Ticket, depth),
-		caches:  make([][2]*marray.TileCache, w),
 		served:  make([]shardCount, w),
 	}
 	if p.chaos == nil {
 		p.chaos = faults.Global()
-	}
-	for i := range p.caches {
-		p.caches[i] = [2]*marray.TileCache{
-			marray.NewTileCache(opt.CacheTiles),
-			marray.NewTileCache(opt.CacheTiles),
-		}
 	}
 	if o := obs.Global(); o != nil {
 		p.obsC = o.Site("serve")
@@ -502,21 +491,22 @@ func (p *Pool) Close() {
 		if p.obsC != nil {
 			st := p.Stats()
 			p.obsC.ShardImbalance.Store(st.Imbalance)
-			p.obsC.CacheHits.Store(st.CacheHits)
-			p.obsC.CacheMisses.Store(st.CacheMisses)
 		}
 	}
 }
 
 // Stats is a point-in-time view of the pool's serving counters.
 type Stats struct {
-	Workers                int
-	State                  string  // StateServing, StateDraining, or StateClosed
-	QueueDepth             int     // queries currently waiting in the submit queue
-	Queries                int64   // total queries answered
-	PerWorker              []int64 // queries answered by each shard
-	Imbalance              int64   // max minus min of PerWorker
-	CacheHits, CacheMisses int64   // summed over all shard caches
+	Workers    int
+	State      string  // StateServing, StateDraining, or StateClosed
+	QueueDepth int     // queries currently waiting in the submit queue
+	Queries    int64   // total queries answered
+	PerWorker  []int64 // queries answered by each shard
+	Imbalance  int64   // max minus min of PerWorker
+
+	// Deprecated: workers evaluate inputs directly and keep no tile
+	// cache, so CacheHits and CacheMisses are always zero.
+	CacheHits, CacheMisses int64
 }
 
 // Stats snapshots the serving counters. Safe to call at any time,
@@ -549,12 +539,6 @@ func (p *Pool) Stats() Stats {
 	if min >= 0 {
 		st.Imbalance = max - min
 	}
-	for _, pair := range p.caches {
-		for _, c := range pair {
-			st.CacheHits += c.Hits()
-			st.CacheMisses += c.Misses()
-		}
-	}
 	return st
 }
 
@@ -573,11 +557,7 @@ func mergeCtx(pool, query context.Context) (context.Context, func()) {
 func (p *Pool) worker(id int) {
 	defer p.done.Done()
 	d := batch.NewWithBackend(p.mode, p.opt.Backend)
-	mw := p.opt.MachineWorkers
-	if mw <= 0 {
-		mw = 1
-	}
-	d.SetMachineWorkers(mw)
+	d.SetMachineWorkers(1)
 	if p.opt.Context != nil {
 		d.SetContext(p.opt.Context)
 	}
@@ -600,7 +580,7 @@ func (p *Pool) worker(id int) {
 				time.Sleep(slow)
 			}
 		}
-		t.res = p.resolve(d, eng, id, t)
+		t.res = p.resolve(d, eng, t)
 		p.served[id].add(1)
 		if p.obsC != nil {
 			p.obsC.QueriesServed.Add(1)
@@ -615,9 +595,9 @@ func (p *Pool) worker(id int) {
 // and a query aborted mid-run by its own context resolves with the
 // deadline/cancel classification instead of the machine's raw
 // cancellation error.
-func (p *Pool) resolve(d *batch.Driver, eng *minplus.Engine, id int, t *Ticket) Result {
+func (p *Pool) resolve(d *batch.Driver, eng *minplus.Engine, t *Ticket) Result {
 	if t.ctx == nil {
-		return p.answer(d, eng, id, t.q)
+		return answer(d, eng, t.q)
 	}
 	if t.ctx.Err() != nil {
 		if p.obsC != nil {
@@ -630,7 +610,7 @@ func (p *Pool) resolve(d *batch.Driver, eng *minplus.Engine, id int, t *Ticket) 
 		runCtx, release = mergeCtx(p.opt.Context, t.ctx)
 	}
 	d.SetContext(runCtx)
-	res := p.answer(d, eng, id, t.q)
+	res := answer(d, eng, t.q)
 	release()
 	d.SetContext(p.opt.Context)
 	if res.Err != nil && t.ctx.Err() != nil && errors.Is(res.Err, merr.ErrCanceled) {
@@ -641,16 +621,15 @@ func (p *Pool) resolve(d *batch.Driver, eng *minplus.Engine, id int, t *Ticket) 
 
 // answer runs one query on the shard's driver, converting any thrown
 // merr condition into the ticket's error.
-func (p *Pool) answer(d *batch.Driver, eng *minplus.Engine, id int, q Query) (res Result) {
+func answer(d *batch.Driver, eng *minplus.Engine, q Query) (res Result) {
 	defer merr.Catch(&res.Err)
 	switch q.Kind {
 	case RowMinima:
-		res.Idx = d.RowMinima(p.cached(id, 0, q.A))
+		res.Idx = d.RowMinima(q.A)
 	case StaircaseRowMinima:
-		res.Idx = d.StaircaseRowMinima(p.cached(id, 0, q.A))
+		res.Idx = d.StaircaseRowMinima(q.A)
 	case TubeMaxima:
-		c := marray.Composite{D: p.cached(id, 0, q.C.D), E: p.cached(id, 1, q.C.E)}
-		res.TubeJ, res.TubeV = d.TubeMaxima(c)
+		res.TubeJ, res.TubeV = d.TubeMaxima(q.C)
 	case SubmatrixMax:
 		if q.Index == nil {
 			merr.Throwf(merr.ErrDimensionMismatch, "serve: SubmatrixMax query without an index")
@@ -662,10 +641,6 @@ func (p *Pool) answer(d *batch.Driver, eng *minplus.Engine, id int, q Query) (re
 		}
 		res.Idx = q.Index.RangeRowMinima(q.R1, q.R2)
 	case MinPlus:
-		// The factors bypass the shard tile caches deliberately: the
-		// returned Product retains them for on-demand At/Witness
-		// evaluation, and a cache view escaping to the caller would race
-		// with this worker's next query.
 		res.Prod = eng.Multiply(q.A, q.B)
 	case MLinkPath:
 		if q.W == nil {
@@ -676,16 +651,4 @@ func (p *Pool) answer(d *batch.Driver, eng *minplus.Engine, id int, q Query) (re
 		merr.Throwf(ErrUnknownKind, "serve: unknown query kind %d", int(q.Kind))
 	}
 	return res
-}
-
-// cached routes implicit matrices through the shard's tile cache.
-// Dense inputs pass through untouched: their At is already one load,
-// and memoizing it would only add a probe. Cache traffic is reported
-// in aggregate by Stats and at Close; the At fast path stays free of
-// obs counter writes.
-func (p *Pool) cached(id, which int, a marray.Matrix) marray.Matrix {
-	if _, dense := a.(*marray.Dense); dense {
-		return a
-	}
-	return p.caches[id][which].View(a)
 }

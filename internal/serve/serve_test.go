@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -16,8 +17,8 @@ import (
 	"monge/internal/pram"
 )
 
-// asFunc re-exposes a materialized matrix as an implicit one, so the
-// pool's tile caches participate (Dense inputs bypass them by design).
+// asFunc re-exposes a materialized matrix as an implicit one, the input
+// form of the serving workloads.
 func asFunc(d *marray.Dense) marray.Matrix {
 	return marray.Func{M: d.Rows(), N: d.Cols(), F: d.At}
 }
@@ -272,11 +273,10 @@ func TestPoolUnknownKind(t *testing.T) {
 	}
 }
 
-// TestPoolStatsAndCaches checks the serving counters: shard counts sum
-// to the query total, and implicit-matrix queries actually traffic the
-// tile caches.
-func TestPoolStatsAndCaches(t *testing.T) {
-	p := New(pram.CRCW, Options{Workers: 2, CacheTiles: 64})
+// TestPoolStats checks the serving counters: shard counts sum to the
+// query total.
+func TestPoolStats(t *testing.T) {
+	p := New(pram.CRCW, Options{Workers: 2})
 	defer p.Close()
 	rng := rand.New(rand.NewSource(8))
 	a := asFunc(marray.RandomMonge(rng, 64, 64))
@@ -300,7 +300,48 @@ func TestPoolStatsAndCaches(t *testing.T) {
 	if st.Imbalance > st.Queries {
 		t.Fatalf("imbalance %d exceeds query count %d", st.Imbalance, st.Queries)
 	}
-	if st.CacheMisses == 0 {
-		t.Fatal("implicit-matrix queries recorded no tile-cache fills")
+}
+
+// TestPoolEvaluatesNoMoreThanDriver pins direct evaluation: a query
+// served through the pool evaluates no more entries of its implicit
+// input than the width-1 batch.Driver a worker runs does on the same
+// input. A memoizing view that fills whole tiles would over-evaluate.
+func TestPoolEvaluatesNoMoreThanDriver(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	a := marray.RandomMonge(rng, 100, 100)
+	s := marray.RandomStaircaseMonge(rng, 100, 100)
+	c := marray.RandomComposite(rng, 20, 20, 20)
+	var n atomic.Int64
+	counted := func(d marray.Matrix) marray.Matrix {
+		return marray.Func{M: d.Rows(), N: d.Cols(), F: func(i, j int) float64 { n.Add(1); return d.At(i, j) }}
+	}
+	qs := map[string]Query{
+		"row-minima":           {Kind: RowMinima, A: counted(a)},
+		"staircase-row-minima": {Kind: StaircaseRowMinima, A: counted(s)},
+		"tube-maxima":          {Kind: TubeMaxima, C: marray.Composite{D: counted(c.D), E: counted(c.E)}},
+	}
+	for _, be := range []batch.Backend{batch.BackendNative, batch.BackendPRAM} {
+		noFaults := faults.New(0, 0)
+		p := New(pram.CRCW, Options{Workers: 1, Backend: be, Faults: noFaults})
+		d := batch.NewWithBackend(pram.CRCW, be)
+		d.SetMachineWorkers(1)
+		d.SetFaults(noFaults)
+		for name, q := range qs {
+			n.Store(0)
+			want := answer(d, nil, q)
+			direct := n.Swap(0)
+			tk, err := p.Submit(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := tk.Result()
+			served := n.Load()
+			assertSame(t, 0, got, want)
+			if served > direct {
+				t.Errorf("%s/%s: pool evaluated %d entries, a width-1 driver %d", be, name, served, direct)
+			}
+		}
+		d.Close()
+		p.Close()
 	}
 }

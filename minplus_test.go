@@ -238,8 +238,8 @@ func TestMLinkPathFacade(t *testing.T) {
 }
 
 // TestDriverPoolMinPlus covers the pool surface of the (min,+) kinds:
-// tickets, the Do lifecycle with its request builders, calling-
-// goroutine screens, and per-query cancellation.
+// Submit tickets, the Do lifecycle, and per-query cancellation. Their
+// rejections are in TestDriverPoolScreens.
 func TestDriverPoolMinPlus(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	a := marray.RandomMongeInt(rng, 16, 21, 5)
@@ -250,7 +250,8 @@ func TestDriverPoolMinPlus(t *testing.T) {
 	dp := NewDriverPool(CRCW, 2)
 	defer dp.Close()
 
-	tk, err := dp.MinPlus(a, b)
+	ctx := context.Background()
+	tk, err := dp.Submit(ctx, MinPlusRequest(a, b))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +268,7 @@ func TestDriverPoolMinPlus(t *testing.T) {
 		}
 	}
 
-	tk, err = dp.MLinkPath(n, w, 5)
+	tk, err = dp.Submit(ctx, MLinkPathRequest(n, w, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,31 +278,19 @@ func TestDriverPoolMinPlus(t *testing.T) {
 		t.Fatalf("pool mlink: %+v, reference cost %g", res, refCost)
 	}
 
-	if r := dp.Do(context.Background(), MinPlusRequest(a, b)); r.Err != nil || r.Prod == nil ||
+	if r := dp.Do(ctx, MinPlusRequest(a, b)); r.Err != nil || r.Prod == nil ||
 		r.Prod.At(2, 3) != want.At(2, 3) {
 		t.Fatalf("Do minplus: %+v", r)
 	}
-	if r := dp.Do(context.Background(), MLinkPathRequest(n, w, 5)); r.Err != nil ||
+	if r := dp.Do(ctx, MLinkPathRequest(n, w, 5)); r.Err != nil ||
 		math.Abs(r.Cost-refCost) > 1e-6*(1+math.Abs(refCost)) {
 		t.Fatalf("Do mlink: %+v", r)
 	}
 
-	// Screens run on the calling goroutine: bad inputs never enqueue.
-	notMonge := FromRows([][]float64{{5, 0}, {0, 5}})
-	if _, err := dp.MinPlus(notMonge, b); !errors.Is(err, ErrNotMonge) {
-		t.Fatalf("pool non-Monge: err=%v, want ErrNotMonge", err)
-	}
-	if _, err := dp.MLinkPath(n, nil, 3); !errors.Is(err, ErrDimensionMismatch) {
-		t.Fatalf("pool nil weight: err=%v, want ErrDimensionMismatch", err)
-	}
-	if r := dp.Do(context.Background(), MinPlusRequest(notMonge, b)); !errors.Is(r.Err, ErrNotMonge) {
-		t.Fatalf("Do non-Monge: err=%v, want ErrNotMonge", r.Err)
-	}
-
 	// A canceled per-query context resolves the ticket with ErrCanceled.
-	ctx, cancel := context.WithCancel(context.Background())
+	canceled, cancel := context.WithCancel(ctx)
 	cancel()
-	tk, err = dp.MinPlusCtx(ctx, a, b)
+	tk, err = dp.Submit(canceled, MinPlusRequest(a, b))
 	if err == nil {
 		if res := tk.Result(); !errors.Is(res.Err, ErrCanceled) {
 			t.Fatalf("canceled ctx: err=%v, want ErrCanceled", res.Err)
@@ -309,7 +298,7 @@ func TestDriverPoolMinPlus(t *testing.T) {
 	} else if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("canceled submit: err=%v, want ErrCanceled", err)
 	}
-	tk, err = dp.MLinkPathCtx(ctx, n, w, 3)
+	tk, err = dp.Submit(canceled, MLinkPathRequest(n, w, 3))
 	if err == nil {
 		if res := tk.Result(); !errors.Is(res.Err, ErrCanceled) {
 			t.Fatalf("canceled mlink ctx: err=%v, want ErrCanceled", res.Err)

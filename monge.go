@@ -501,53 +501,13 @@ type MinPlusProduct = minplus.Product
 // i < i' < j < j'.
 type LinkWeight = minplus.Weight
 
-// minPlusScreen validates one (min,+) factor with the sampled
-// validator matching its blocking structure: staircase-Monge for
-// factors carrying blocked entries (probed like BuildIndex), plain
-// Monge otherwise.
-func minPlusScreen(a Matrix) error {
-	in := stairProbe(a)
-	if _, stair := in.(Staircase); stair {
-		return marray.CheckStaircaseMongeSampled(in)
-	}
-	return marray.CheckMongeSampled(in)
-}
-
-// checkLinkWeightSampled screens an M-link weight with O(n) deterministic
-// adjacent-quadruple probes of the concave quadrangle inequality; like
-// the matrix screens it never rejects a valid weight.
-func checkLinkWeightSampled(n int, w LinkWeight) error {
-	if w == nil {
-		return merr.Errorf(merr.ErrDimensionMismatch, "monge: nil link weight")
-	}
-	step := n / 32
-	if step < 1 {
-		step = 1
-	}
-	for i := 0; i+3 <= n; i += step {
-		for _, j := range [3]int{i + 2, (i + 2 + n) / 2, n - 1} {
-			if j < i+2 || j+1 > n {
-				continue
-			}
-			if w(i, j)+w(i+1, j+1) > w(i, j+1)+w(i+1, j) {
-				return merr.Errorf(merr.ErrNotMonge,
-					"monge: link weight violates the Monge inequality at quadruple (%d,%d,%d,%d)", i, i+1, j, j+1)
-			}
-		}
-	}
-	return nil
-}
-
 // MinPlus returns the Monge (min,+) product A ⊗ B — A m x q, B q x r,
 // both Monge or staircase-Monge — as a run-sparse MinPlusProduct, in
 // O(m(q+r)) evaluations via batched SMAWK row-minima queries against
 // the naive O(mqr). Factors failing the sampled screens return
 // ErrNotMonge / ErrNotStaircase; shape mismatches ErrDimensionMismatch.
 func MinPlus(a, b Matrix) (p *MinPlusProduct, err error) {
-	if err = minPlusScreen(a); err != nil {
-		return nil, err
-	}
-	if err = minPlusScreen(b); err != nil {
+	if err = MinPlusRequest(a, b).Query.Screen(); err != nil {
 		return nil, err
 	}
 	err = catchInto(func() { p = MustMinPlus(a, b) })
@@ -570,7 +530,7 @@ func MustMinPlus(a, b Matrix) *MinPlusProduct {
 // M-link path (M > n) yields (+Inf, nil, nil); a weight failing the
 // sampled quadrangle screen returns ErrNotMonge.
 func MLinkPath(n int, w LinkWeight, M int) (cost float64, path []int, err error) {
-	if err = checkLinkWeightSampled(n, w); err != nil {
+	if err = MLinkPathRequest(n, w, M).Query.Screen(); err != nil {
 		return 0, nil, err
 	}
 	err = catchInto(func() { cost, path = MustMLinkPath(n, w, M) })
@@ -611,8 +571,8 @@ type PoolTicket = serve.Ticket
 type PoolStats = serve.Stats
 
 // PoolOptions configures a DriverPool; the zero value means GOMAXPROCS
-// workers, background context, inherited fault injector, default-sized
-// tile caches, fail-fast default admission. Set Admission to shape the
+// workers, background context, inherited fault injector, fail-fast
+// default admission. Set Admission to shape the
 // load-discipline policy (inflight cap, shedding, tenant quotas,
 // retries, hedging); see README "Load discipline".
 type PoolOptions = serve.Options
@@ -628,12 +588,13 @@ type PoolRequest = admit.Request
 type FrontStats = admit.Stats
 
 // DriverPool is the goroutine-safe counterpart of BatchDriver: it
-// shards a stream of row-minima / staircase / tube queries across
-// worker goroutines, each owning a private BatchDriver-equivalent (so
-// the per-shape machine arenas are never shared) plus tile caches that
-// memoize implicit-matrix entries within each query. Results are
-// index-exact with the sequential entry points. Submissions may come
-// from any number of goroutines; answers arrive on per-query tickets.
+// shards a stream of queries across worker goroutines, each owning a
+// private BatchDriver-equivalent (so the per-shape machine arenas are
+// never shared) that evaluates the inputs directly. Every query kind
+// enters through one of two calls taking a *Request-built PoolRequest:
+// Submit (a ticket, no admission) or Do (the admission lifecycle).
+// Results are index-exact with the sequential entry points.
+// Submissions may come from any number of goroutines.
 //
 // Use a BatchDriver for a single-goroutine batch; use a DriverPool when
 // queries arrive concurrently or you want to spend multiple cores on a
@@ -666,68 +627,20 @@ func NewDriverPoolOpts(mode Mode, opt PoolOptions) *DriverPool {
 	return &DriverPool{p: p, f: admit.New(p, opt.Admission)}
 }
 
-// RowMinima submits a row-minima query, returning its ticket. The
-// sampled Monge screen runs on the calling goroutine before anything is
-// enqueued, so structural errors surface immediately, not on the ticket.
-func (dp *DriverPool) RowMinima(a Matrix) (*PoolTicket, error) {
-	if err := marray.CheckMongeSampled(a); err != nil {
+// Submit screens req's query on the calling goroutine (Query.Screen:
+// the sampled structural check its kind needs), so structural errors
+// surface immediately and nothing is enqueued, then submits it with no
+// admission: req's Tenant and Priority are ignored. Build req with the
+// *Request constructors. If ctx is done before the query is evaluated
+// the ticket resolves with ErrDeadlineExceeded (deadline) or
+// ErrCanceled (cancellation) instead of being computed, and a deadline
+// firing mid-evaluation aborts the simulation at its next superstep.
+// Use Do for the full load-discipline lifecycle.
+func (dp *DriverPool) Submit(ctx context.Context, req PoolRequest) (*PoolTicket, error) {
+	if err := req.Query.Screen(); err != nil {
 		return nil, err
 	}
-	return dp.p.Submit(serve.Query{Kind: serve.RowMinima, A: a})
-}
-
-// RowMinimaCtx is RowMinima with a per-query context: if ctx is done
-// before the query is evaluated the ticket resolves with
-// ErrDeadlineExceeded (deadline) or ErrCanceled (cancellation) instead
-// of being computed, and a deadline firing mid-evaluation aborts the
-// simulation at its next superstep.
-func (dp *DriverPool) RowMinimaCtx(ctx context.Context, a Matrix) (*PoolTicket, error) {
-	if err := marray.CheckMongeSampled(a); err != nil {
-		return nil, err
-	}
-	return dp.p.SubmitCtx(ctx, serve.Query{Kind: serve.RowMinima, A: a})
-}
-
-// StaircaseRowMinima submits a staircase row-minima query (sampled
-// staircase-Monge screen on the calling goroutine).
-func (dp *DriverPool) StaircaseRowMinima(a Matrix) (*PoolTicket, error) {
-	if err := marray.CheckStaircaseMongeSampled(a); err != nil {
-		return nil, err
-	}
-	return dp.p.Submit(serve.Query{Kind: serve.StaircaseRowMinima, A: a})
-}
-
-// StaircaseRowMinimaCtx is StaircaseRowMinima with a per-query context;
-// see RowMinimaCtx for the deadline semantics.
-func (dp *DriverPool) StaircaseRowMinimaCtx(ctx context.Context, a Matrix) (*PoolTicket, error) {
-	if err := marray.CheckStaircaseMongeSampled(a); err != nil {
-		return nil, err
-	}
-	return dp.p.SubmitCtx(ctx, serve.Query{Kind: serve.StaircaseRowMinima, A: a})
-}
-
-// TubeMaxima submits a tube-maxima query (sampled Monge screens on both
-// factors, on the calling goroutine).
-func (dp *DriverPool) TubeMaxima(c Composite) (*PoolTicket, error) {
-	if err := marray.CheckMongeSampled(c.D); err != nil {
-		return nil, err
-	}
-	if err := marray.CheckMongeSampled(c.E); err != nil {
-		return nil, err
-	}
-	return dp.p.Submit(serve.Query{Kind: serve.TubeMaxima, C: c})
-}
-
-// TubeMaximaCtx is TubeMaxima with a per-query context; see
-// RowMinimaCtx for the deadline semantics.
-func (dp *DriverPool) TubeMaximaCtx(ctx context.Context, c Composite) (*PoolTicket, error) {
-	if err := marray.CheckMongeSampled(c.D); err != nil {
-		return nil, err
-	}
-	if err := marray.CheckMongeSampled(c.E); err != nil {
-		return nil, err
-	}
-	return dp.p.SubmitCtx(ctx, serve.Query{Kind: serve.TubeMaxima, C: c})
+	return dp.p.SubmitCtx(ctx, req.Query)
 }
 
 // Index is a prebuilt submatrix max/min query structure over one Monge
@@ -741,65 +654,27 @@ type Index = mindex.Index
 // blocked staircase rectangle answers {-1, -1, -Inf}.
 type IndexPos = mindex.Pos
 
-// IndexOpts configures BuildIndexOpts; the zero value is fine.
-type IndexOpts = mindex.Opts
-
-// BuildIndex preprocesses a into a submatrix-maximum index. The input
-// is screened with the sampled validator (staircase-Monge when a
-// carries the Staircase interface, plain Monge otherwise) before any
-// preprocessing work.
-func BuildIndex(a Matrix) (*Index, error) {
-	return BuildIndexOpts(a, IndexOpts{})
-}
-
-// BuildIndexOpts is BuildIndex with explicit options (tile-cache size
-// for implicit inputs, fault injector for the build path). Inputs that
+// BuildIndex preprocesses a into a submatrix-maximum index. Inputs that
 // do not carry the Staircase interface are probed for +Inf blocking, so
-// dense staircase matrices build the staircase solvers too.
-func BuildIndexOpts(a Matrix, opt IndexOpts) (ix *Index, err error) {
-	in := stairProbe(a)
-	if _, stair := in.(Staircase); stair {
-		err = marray.CheckStaircaseMongeSampled(in)
-	} else {
-		err = marray.CheckMongeSampled(in)
-	}
+// dense staircase matrices build the staircase solvers too; the probed
+// input is screened with the sampled validator (staircase-Monge when
+// blocked, plain Monge otherwise) before any preprocessing work.
+func BuildIndex(a Matrix) (ix *Index, err error) {
+	in, err := serve.ScreenMatrix(a)
 	if err != nil {
 		return nil, err
 	}
-	err = catchInto(func() { ix = mindex.Build(in, opt) })
+	err = catchInto(func() { ix = mindex.Build(in, mindex.Opts{}) })
 	if err != nil {
 		return nil, err
 	}
 	return ix, nil
 }
 
-// stairProbe returns a as-is when it already implements Staircase or
-// carries no blocked entries; otherwise (a dense staircase matrix) it
-// probes every row's blocked boundary and wraps a as a StairFunc, so
-// the staircase validators and solvers see the structure they expect.
-func stairProbe(a Matrix) Matrix {
-	if _, ok := a.(Staircase); ok || a.Rows() <= 0 || a.Cols() <= 0 {
-		return a
-	}
-	m, n := a.Rows(), a.Cols()
-	bound := make([]int, m)
-	blocked := false
-	for i := range bound {
-		bound[i] = marray.BoundaryOf(a, i)
-		if bound[i] < n {
-			blocked = true
-		}
-	}
-	if !blocked {
-		return a
-	}
-	return marray.StairFunc{M: m, N: n, F: a.At, Bound: func(i int) int { return bound[i] }}
-}
-
 // IndexSubmatrixMax answers a submatrix-maximum query on the calling
 // goroutine, without going through a pool.
 func IndexSubmatrixMax(ix *Index, r1, r2, c1, c2 int) (pos IndexPos, err error) {
-	if err = checkIndex(ix, func() error { return ix.CheckSubmatrix(r1, r2, c1, c2) }); err != nil {
+	if err = SubmatrixMaxRequest(ix, r1, r2, c1, c2).Query.Screen(); err != nil {
 		return IndexPos{}, err
 	}
 	err = catchInto(func() { pos = ix.SubmatrixMax(r1, r2, c1, c2) })
@@ -809,100 +684,11 @@ func IndexSubmatrixMax(ix *Index, r1, r2, c1, c2 int) (pos IndexPos, err error) 
 // IndexRangeRowMinima answers a row-range minima query on the calling
 // goroutine, without going through a pool.
 func IndexRangeRowMinima(ix *Index, r1, r2 int) (idx []int, err error) {
-	if err = checkIndex(ix, func() error { return ix.CheckRowRange(r1, r2) }); err != nil {
+	if err = RangeRowMinimaRequest(ix, r1, r2).Query.Screen(); err != nil {
 		return nil, err
 	}
 	err = catchInto(func() { idx = ix.RangeRowMinima(r1, r2) })
 	return idx, err
-}
-
-// checkIndex guards the nil index before running the range check.
-func checkIndex(ix *Index, rangeCheck func() error) error {
-	if ix == nil {
-		return merr.Errorf(merr.ErrDimensionMismatch, "monge: nil index")
-	}
-	return rangeCheck()
-}
-
-// SubmatrixMax submits a submatrix-maximum query against a prebuilt
-// index. The range check runs on the calling goroutine, so malformed
-// rectangles surface immediately, not on the ticket.
-func (dp *DriverPool) SubmatrixMax(ix *Index, r1, r2, c1, c2 int) (*PoolTicket, error) {
-	if err := checkIndex(ix, func() error { return ix.CheckSubmatrix(r1, r2, c1, c2) }); err != nil {
-		return nil, err
-	}
-	return dp.p.Submit(serve.Query{Kind: serve.SubmatrixMax, Index: ix, R1: r1, R2: r2, C1: c1, C2: c2})
-}
-
-// SubmatrixMaxCtx is SubmatrixMax with a per-query context; see
-// RowMinimaCtx for the deadline semantics.
-func (dp *DriverPool) SubmatrixMaxCtx(ctx context.Context, ix *Index, r1, r2, c1, c2 int) (*PoolTicket, error) {
-	if err := checkIndex(ix, func() error { return ix.CheckSubmatrix(r1, r2, c1, c2) }); err != nil {
-		return nil, err
-	}
-	return dp.p.SubmitCtx(ctx, serve.Query{Kind: serve.SubmatrixMax, Index: ix, R1: r1, R2: r2, C1: c1, C2: c2})
-}
-
-// RangeRowMinima submits a row-range minima query against a prebuilt
-// index (range check on the calling goroutine).
-func (dp *DriverPool) RangeRowMinima(ix *Index, r1, r2 int) (*PoolTicket, error) {
-	if err := checkIndex(ix, func() error { return ix.CheckRowRange(r1, r2) }); err != nil {
-		return nil, err
-	}
-	return dp.p.Submit(serve.Query{Kind: serve.RangeRowMinima, Index: ix, R1: r1, R2: r2})
-}
-
-// RangeRowMinimaCtx is RangeRowMinima with a per-query context; see
-// RowMinimaCtx for the deadline semantics.
-func (dp *DriverPool) RangeRowMinimaCtx(ctx context.Context, ix *Index, r1, r2 int) (*PoolTicket, error) {
-	if err := checkIndex(ix, func() error { return ix.CheckRowRange(r1, r2) }); err != nil {
-		return nil, err
-	}
-	return dp.p.SubmitCtx(ctx, serve.Query{Kind: serve.RangeRowMinima, Index: ix, R1: r1, R2: r2})
-}
-
-// MinPlus submits a Monge (min,+) multiplication query; the ticket's
-// result carries the run-sparse product in Prod. The sampled screens
-// run on the calling goroutine, like every Submit-style method.
-func (dp *DriverPool) MinPlus(a, b Matrix) (*PoolTicket, error) {
-	if err := minPlusScreen(a); err != nil {
-		return nil, err
-	}
-	if err := minPlusScreen(b); err != nil {
-		return nil, err
-	}
-	return dp.p.Submit(serve.Query{Kind: serve.MinPlus, A: a, B: b})
-}
-
-// MinPlusCtx is MinPlus with a per-query context; see RowMinimaCtx for
-// the deadline semantics.
-func (dp *DriverPool) MinPlusCtx(ctx context.Context, a, b Matrix) (*PoolTicket, error) {
-	if err := minPlusScreen(a); err != nil {
-		return nil, err
-	}
-	if err := minPlusScreen(b); err != nil {
-		return nil, err
-	}
-	return dp.p.SubmitCtx(ctx, serve.Query{Kind: serve.MinPlus, A: a, B: b})
-}
-
-// MLinkPath submits an M-link path query; the ticket's result carries
-// the cost in Cost and the node sequence in Idx (nil when no M-link
-// path exists).
-func (dp *DriverPool) MLinkPath(n int, w LinkWeight, M int) (*PoolTicket, error) {
-	if err := checkLinkWeightSampled(n, w); err != nil {
-		return nil, err
-	}
-	return dp.p.Submit(serve.Query{Kind: serve.MLinkPath, W: w, N: n, M: M})
-}
-
-// MLinkPathCtx is MLinkPath with a per-query context; see RowMinimaCtx
-// for the deadline semantics.
-func (dp *DriverPool) MLinkPathCtx(ctx context.Context, n int, w LinkWeight, M int) (*PoolTicket, error) {
-	if err := checkLinkWeightSampled(n, w); err != nil {
-		return nil, err
-	}
-	return dp.p.SubmitCtx(ctx, serve.Query{Kind: serve.MLinkPath, W: w, N: n, M: M})
 }
 
 // Do runs one request through the pool's full load-discipline
@@ -910,85 +696,51 @@ func (dp *DriverPool) MLinkPathCtx(ctx context.Context, n int, w LinkWeight, M i
 // the deadline carried by ctx, budgeted retries, and hedging when
 // configured. The result either carries an index-exact answer or a
 // typed error (ErrOverloaded, ErrDeadlineExceeded, ErrCanceled,
-// ErrPoolClosed, or a structural error). The input is screened with the
-// sampled validator before admission, like the Submit-style methods.
+// ErrPoolClosed, or a structural error). The query is screened before
+// admission, exactly as Submit screens it.
 func (dp *DriverPool) Do(ctx context.Context, req PoolRequest) PoolResult {
-	switch req.Query.Kind {
-	case serve.RowMinima:
-		if err := marray.CheckMongeSampled(req.Query.A); err != nil {
-			return PoolResult{Err: err}
-		}
-	case serve.StaircaseRowMinima:
-		if err := marray.CheckStaircaseMongeSampled(req.Query.A); err != nil {
-			return PoolResult{Err: err}
-		}
-	case serve.TubeMaxima:
-		if err := marray.CheckMongeSampled(req.Query.C.D); err != nil {
-			return PoolResult{Err: err}
-		}
-		if err := marray.CheckMongeSampled(req.Query.C.E); err != nil {
-			return PoolResult{Err: err}
-		}
-	case serve.SubmatrixMax:
-		q := req.Query
-		if err := checkIndex(q.Index, func() error { return q.Index.CheckSubmatrix(q.R1, q.R2, q.C1, q.C2) }); err != nil {
-			return PoolResult{Err: err}
-		}
-	case serve.RangeRowMinima:
-		q := req.Query
-		if err := checkIndex(q.Index, func() error { return q.Index.CheckRowRange(q.R1, q.R2) }); err != nil {
-			return PoolResult{Err: err}
-		}
-	case serve.MinPlus:
-		if err := minPlusScreen(req.Query.A); err != nil {
-			return PoolResult{Err: err}
-		}
-		if err := minPlusScreen(req.Query.B); err != nil {
-			return PoolResult{Err: err}
-		}
-	case serve.MLinkPath:
-		if err := checkLinkWeightSampled(req.Query.N, req.Query.W); err != nil {
-			return PoolResult{Err: err}
-		}
+	if err := req.Query.Screen(); err != nil {
+		return PoolResult{Err: err}
 	}
 	return dp.f.Do(ctx, req)
 }
 
-// RowMinimaRequest builds the PoolRequest for a row-minima Do call.
+// RowMinimaRequest builds a row-minima request for Submit or Do.
 func RowMinimaRequest(a Matrix) PoolRequest {
 	return PoolRequest{Query: serve.Query{Kind: serve.RowMinima, A: a}}
 }
 
-// StaircaseRowMinimaRequest builds the PoolRequest for a staircase
-// row-minima Do call.
+// StaircaseRowMinimaRequest builds a staircase row-minima request.
 func StaircaseRowMinimaRequest(a Matrix) PoolRequest {
 	return PoolRequest{Query: serve.Query{Kind: serve.StaircaseRowMinima, A: a}}
 }
 
-// TubeMaximaRequest builds the PoolRequest for a tube-maxima Do call.
+// TubeMaximaRequest builds a tube-maxima request.
 func TubeMaximaRequest(c Composite) PoolRequest {
 	return PoolRequest{Query: serve.Query{Kind: serve.TubeMaxima, C: c}}
 }
 
-// SubmatrixMaxRequest builds the PoolRequest for a submatrix-maximum Do
-// call against a prebuilt index.
+// SubmatrixMaxRequest builds a submatrix-maximum request against a
+// prebuilt index; the result carries the answer in Pos.
 func SubmatrixMaxRequest(ix *Index, r1, r2, c1, c2 int) PoolRequest {
 	return PoolRequest{Query: serve.Query{Kind: serve.SubmatrixMax, Index: ix, R1: r1, R2: r2, C1: c1, C2: c2}}
 }
 
-// RangeRowMinimaRequest builds the PoolRequest for a row-range minima Do
-// call against a prebuilt index.
+// RangeRowMinimaRequest builds a row-range minima request against a
+// prebuilt index.
 func RangeRowMinimaRequest(ix *Index, r1, r2 int) PoolRequest {
 	return PoolRequest{Query: serve.Query{Kind: serve.RangeRowMinima, Index: ix, R1: r1, R2: r2}}
 }
 
-// MinPlusRequest builds the PoolRequest for a (min,+) multiplication
-// Do call.
+// MinPlusRequest builds a (min,+) multiplication request; the result
+// carries the run-sparse product in Prod.
 func MinPlusRequest(a, b Matrix) PoolRequest {
 	return PoolRequest{Query: serve.Query{Kind: serve.MinPlus, A: a, B: b}}
 }
 
-// MLinkPathRequest builds the PoolRequest for an M-link path Do call.
+// MLinkPathRequest builds an M-link path request; the result carries
+// the cost in Cost and the node sequence in Idx (nil when no M-link
+// path exists).
 func MLinkPathRequest(n int, w LinkWeight, M int) PoolRequest {
 	return PoolRequest{Query: serve.Query{Kind: serve.MLinkPath, W: w, N: n, M: M}}
 }
@@ -1012,7 +764,7 @@ func (dp *DriverPool) RowMinimaStream(as []Matrix) <-chan PoolResult {
 	errs := make([]error, len(as))
 	ok := make([]Matrix, 0, len(as))
 	for i, a := range as {
-		if err := marray.CheckMongeSampled(a); err != nil {
+		if err := RowMinimaRequest(a).Query.Screen(); err != nil {
 			errs[i] = err
 		} else {
 			ok = append(ok, a)
@@ -1038,7 +790,7 @@ func (dp *DriverPool) RowMinimaStream(as []Matrix) <-chan PoolResult {
 func (dp *DriverPool) Wait() { dp.p.Wait() }
 
 // Stats snapshots the pool's serving counters (queries per shard,
-// imbalance, tile-cache hits/misses).
+// imbalance).
 func (dp *DriverPool) Stats() PoolStats { return dp.p.Stats() }
 
 // Close drains pending queries, stops the worker goroutines, and
