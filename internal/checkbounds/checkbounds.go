@@ -22,7 +22,6 @@ import (
 	"encoding/json"
 	"io"
 	"math/rand"
-	"runtime"
 
 	"monge/internal/core"
 	"monge/internal/hcmonge"
@@ -60,21 +59,18 @@ type Spec struct {
 	Run   func(rng *rand.Rand, n int) Measured // one measurement
 }
 
-// Point is one measured ladder point of a row. AllocsPerOp is the
-// process-wide heap-allocation count (runtime.MemStats Mallocs delta)
-// of the one measured run; unlike the charged counters it is not
-// bit-reproducible — GC timing and pool warm-up shift it slightly — so
-// it is reported for the allocation profile in EXPERIMENTS.md rather
-// than gated here (the gated budgets live in the root alloc-regression
-// test against BENCH_alloc.json).
+// Point is one measured ladder point of a row. It holds only the
+// charged counters, which are bit-reproducible, so a regenerated
+// BENCH_monge.json changes only when one of them does (the gated
+// allocation budgets live in the root alloc-regression test against
+// BENCH_alloc.json).
 type Point struct {
-	N           int     `json:"n"`
-	Time        int64   `json:"time"`
-	Procs       int64   `json:"procs"`
-	Work        int64   `json:"work"`
-	Bound       float64 `json:"bound"`
-	Ratio       float64 `json:"ratio"` // Time / Bound
-	AllocsPerOp int64   `json:"allocs_per_op"`
+	N     int     `json:"n"`
+	Time  int64   `json:"time"`
+	Procs int64   `json:"procs"`
+	Work  int64   `json:"work"`
+	Bound float64 `json:"bound"`
+	Ratio float64 `json:"ratio"` // Time / Bound
 }
 
 // Result is one fully measured row with its flatness verdict.
@@ -227,15 +223,11 @@ func Measure(s Spec, maxN int, tol float64) Result {
 		if maxN > 0 && n > maxN {
 			break
 		}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
 		m := s.Run(rng, n)
-		runtime.ReadMemStats(&after)
 		b := s.Bound(n)
 		res.Points = append(res.Points, Point{
 			N: n, Time: m.Time, Procs: m.Procs, Work: m.Work,
 			Bound: b, Ratio: float64(m.Time) / b,
-			AllocsPerOp: int64(after.Mallocs - before.Mallocs),
 		})
 	}
 	res.Flatness = flatness(res.Points)

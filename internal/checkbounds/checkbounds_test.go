@@ -33,11 +33,8 @@ func TestRowsCoverAllTables(t *testing.T) {
 // TestMeasureDeterministicAndTrimmed checks the two contracts Measure
 // makes: identical reruns give identical charged counters, and capping
 // the ladder with maxN never changes the measurements of surviving
-// sizes. AllocsPerOp is excluded: it is a process-wide Mallocs delta
-// and documented as not bit-reproducible (the gated allocation numbers
-// live in BENCH_alloc.json, not here).
+// sizes.
 func TestMeasureDeterministicAndTrimmed(t *testing.T) {
-	charged := func(p Point) Point { p.AllocsPerOp = 0; return p }
 	spec := Rows()[0] // Table 1.1 CRCW — the fastest row
 	full := Measure(spec, 256, Tolerance)
 	again := Measure(spec, 256, Tolerance)
@@ -45,12 +42,12 @@ func TestMeasureDeterministicAndTrimmed(t *testing.T) {
 		t.Fatalf("maxN=256 kept %d points, want 2", len(full.Points))
 	}
 	for i := range full.Points {
-		if charged(full.Points[i]) != charged(again.Points[i]) {
+		if full.Points[i] != again.Points[i] {
 			t.Fatalf("rerun diverged at point %d: %+v vs %+v", i, full.Points[i], again.Points[i])
 		}
 	}
 	trimmed := Measure(spec, 128, Tolerance)
-	if len(trimmed.Points) != 1 || charged(trimmed.Points[0]) != charged(full.Points[0]) {
+	if len(trimmed.Points) != 1 || trimmed.Points[0] != full.Points[0] {
 		t.Fatalf("trimming the ladder changed the first point: %+v vs %+v",
 			trimmed.Points, full.Points[0])
 	}

@@ -22,6 +22,31 @@
 // id then serves the index-backed query kinds "submax" and
 // "range-row-minima" on /v1/query until the registry (capacity
 // maxIndexes, evicted never — build what you serve) fills.
+//
+// # Request grammar
+//
+// Both POST bodies are read once, whole, and parsed byte by byte
+// (decode.go) straight into the row-major marray.Dense matrices the
+// kernels read. The server accepts what encoding/json accepts for
+// QueryRequest and IndexRequest with unknown fields disallowed, and
+// rejects trailing data:
+//
+//   - Matrix entries are JSON numbers, or null for +Inf. A number past
+//     float64's range (1e400) is a 400; -0 stays -0.
+//   - A matrix is an array of rows; a null row has no entries. An
+//     absent, null or [] matrix, or one with an empty first row, is
+//     empty, and a row of another width than the first is ragged; both
+//     are 400s when the query kind uses the matrix.
+//   - The integer fields (r1..c2, priority, deadline_ms) take JSON
+//     integers only. null leaves any scalar field unset.
+//   - Keys match field names case-insensitively, with encoding/json's
+//     Unicode folding; the last of a repeated key wins; an unknown key
+//     is a 400.
+//   - Any byte but whitespace after the object is a 400.
+//   - A body over maxBodyBytes (64 MiB) is a 413, declared by its
+//     Content-Length or found while reading a chunked body. A declared
+//     length reserves at most bodyPresize (1 MiB) before the body
+//     arrives.
 package httpfront
 
 import (
@@ -52,7 +77,9 @@ import (
 var maxBodyBytes int64 = 64 << 20
 
 // Entry is a JSON matrix entry that decodes null as +Inf, so staircase
-// arrays (blocked entries) are expressible in plain JSON.
+// arrays (blocked entries) are expressible in plain JSON. Clients build
+// and read bodies with it; the server parses request matrices with its
+// own decoder (decode.go), which reads the same grammar.
 type Entry float64
 
 // MarshalJSON encodes finite values as numbers and either infinity as
@@ -249,11 +276,8 @@ func writePrometheus(w io.Writer, snap map[string]obs.CounterSnapshot) {
 // containing nulls must form a right/down-closed staircase; both shapes
 // run their sampled structural screen before the build.
 func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	var ir IndexRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&ir); err != nil {
+	ir, err := decodeBody(w, r, indexFields)
+	if err != nil {
 		writeDecodeError(w, err)
 		return
 	}
@@ -296,13 +320,13 @@ func (s *Server) lookupIndex(id string) (*mindex.Index, bool) {
 	return ix, ok
 }
 
-// indexMatrixOf converts the JSON rows for an index build: plain Monge
-// matrices pass the sampled Monge screen; matrices with null (+Inf)
-// entries must be exactly right/down-closed staircases and pass the
-// sampled staircase screen, and come out carrying the Staircase
+// indexMatrixOf checks the decoded matrix for an index build: plain
+// Monge matrices pass the sampled Monge screen; matrices with null
+// (+Inf) entries must be exactly right/down-closed staircases and pass
+// the sampled staircase screen, and come out carrying the Staircase
 // interface so the index builds the staircase solvers.
-func indexMatrixOf(rows [][]Entry) (marray.Matrix, error) {
-	a, err := denseOf(rows, "a")
+func indexMatrixOf(field matrix) (marray.Matrix, error) {
+	a, err := field.dense("a")
 	if err != nil {
 		return nil, err
 	}
@@ -343,15 +367,12 @@ func indexMatrixOf(rows [][]Entry) (marray.Matrix, error) {
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	var qr QueryRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&qr); err != nil {
+	qr, err := decodeBody(w, r, queryFields)
+	if err != nil {
 		writeDecodeError(w, err)
 		return
 	}
-	q, status, code, err := s.buildQuery(&qr)
+	q, status, code, err := s.buildQuery(qr)
 	if err != nil {
 		writeError(w, status, code, err.Error())
 		return
@@ -398,19 +419,19 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
-// buildQuery converts the JSON request into a pool query: it
-// materializes the matrices and resolves an index_id through the
+// buildQuery turns the decoded request into a pool query: it picks the
+// matrices the kind uses and resolves an index_id through the
 // registry. The caller screens the query (serve.Query.Screen) before
 // admission. On failure it returns the HTTP status and short code
 // alongside the error: 404/"not_found" for an unknown index_id,
 // 400/"bad_request" otherwise.
-func (s *Server) buildQuery(qr *QueryRequest) (serve.Query, int, string, error) {
+func (s *Server) buildQuery(qr *request) (serve.Query, int, string, error) {
 	bad := func(err error) (serve.Query, int, string, error) {
 		return serve.Query{}, http.StatusBadRequest, "bad_request", err
 	}
 	switch qr.Kind {
 	case "row-minima", "staircase-row-minima":
-		a, err := denseOf(qr.A, "a")
+		a, err := qr.A.dense("a")
 		if err != nil {
 			return bad(err)
 		}
@@ -420,11 +441,11 @@ func (s *Server) buildQuery(qr *QueryRequest) (serve.Query, int, string, error) 
 		}
 		return serve.Query{Kind: kind, A: a}, 0, "", nil
 	case "tube-maxima":
-		d, err := denseOf(qr.D, "d")
+		d, err := qr.D.dense("d")
 		if err != nil {
 			return bad(err)
 		}
-		e, err := denseOf(qr.E, "e")
+		e, err := qr.E.dense("e")
 		if err != nil {
 			return bad(err)
 		}
@@ -447,29 +468,6 @@ func (s *Server) buildQuery(qr *QueryRequest) (serve.Query, int, string, error) 
 	default:
 		return bad(fmt.Errorf("unknown kind %q (want row-minima, staircase-row-minima, tube-maxima, submax, or range-row-minima)", qr.Kind))
 	}
-}
-
-// denseOf materializes the JSON rows, rejecting empty or ragged input.
-func denseOf(rows [][]Entry, name string) (marray.Matrix, error) {
-	if len(rows) == 0 || len(rows[0]) == 0 {
-		return nil, fmt.Errorf("matrix %q is empty", name)
-	}
-	conv := make([][]float64, len(rows))
-	n := len(rows[0])
-	for i, r := range rows {
-		if len(r) != n {
-			return nil, fmt.Errorf("matrix %q is ragged: row %d has %d entries, want %d", name, i, len(r), n)
-		}
-		conv[i] = make([]float64, n)
-		for j, e := range r {
-			conv[i][j] = float64(e)
-		}
-	}
-	var d *marray.Dense
-	if err := catch(func() { d = marray.FromRows(conv) }); err != nil {
-		return nil, err
-	}
-	return d, nil
 }
 
 // catch converts a thrown merr failure into a returned error.

@@ -18,7 +18,7 @@ import (
 	"monge/internal/smawk"
 )
 
-func newTestServer(t *testing.T, opt *admit.Options) (*httptest.Server, *serve.Pool, *admit.Front) {
+func newTestServer(t testing.TB, opt *admit.Options) (*httptest.Server, *serve.Pool, *admit.Front) {
 	t.Helper()
 	p := serve.New(pram.CRCW, serve.Options{Workers: 2, QueueDepth: 8})
 	f := admit.New(p, opt)

@@ -8,6 +8,7 @@ package httpfront
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"math"
 	"math/rand"
 	"net/http"
@@ -201,11 +202,19 @@ func TestIndexRegistryCapacity(t *testing.T) {
 }
 
 // TestQueryMalformedJSON pins the decode error path: a syntactically
-// broken body is 400/"bad_request" on both POST endpoints.
+// broken body, or a well-formed object followed by anything but
+// whitespace, is 400/"bad_request" on both POST endpoints.
 func TestQueryMalformedJSON(t *testing.T) {
 	ts, _, _ := newTestServer(t, nil)
-	for _, path := range []string{"/v1/query", "/v1/index"} {
-		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(`{"kind": "row-minima", "a": [[1,`))
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/query", `{"kind": "row-minima", "a": [[1,`},
+		{"/v1/index", `{"kind": "row-minima", "a": [[1,`},
+		{"/v1/query", `{"kind":"row-minima","a":[[1]]} garbage`},
+		{"/v1/query", `{"kind":"row-minima","a":[[1]]}{}`},
+		{"/v1/index", `{"a":[[1,2],[0,1]]} garbage`},
+		{"/v1/index", "{\"a\":[[1,2],[0,1]]}\n]"},
+	} {
+		resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -213,13 +222,14 @@ func TestQueryMalformedJSON(t *testing.T) {
 		_, _ = out.ReadFrom(resp.Body)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest || errCode(t, out.Bytes()) != "bad_request" {
-			t.Fatalf("%s: status %d code %q", path, resp.StatusCode, errCode(t, out.Bytes()))
+			t.Fatalf("%s %q: status %d code %q", tc.path, tc.body, resp.StatusCode, errCode(t, out.Bytes()))
 		}
 	}
 }
 
 // TestQueryOversizedBody pins the 413 path: a body past maxBodyBytes is
-// rejected with "body_too_large" before reaching any kernel.
+// rejected with "body_too_large" before reaching any kernel, whether
+// it declares its Content-Length or arrives chunked with none.
 func TestQueryOversizedBody(t *testing.T) {
 	old := maxBodyBytes
 	maxBodyBytes = 256
@@ -227,15 +237,30 @@ func TestQueryOversizedBody(t *testing.T) {
 	ts, _, _ := newTestServer(t, nil)
 	big := `{"kind":"row-minima","a":[[` + strings.Repeat("1,", 400) + `1]]}`
 	for _, path := range []string{"/v1/query", "/v1/index"} {
-		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(big))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var out bytes.Buffer
-		_, _ = out.ReadFrom(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusRequestEntityTooLarge || errCode(t, out.Bytes()) != "body_too_large" {
-			t.Fatalf("%s: status %d code %q", path, resp.StatusCode, errCode(t, out.Bytes()))
+		for _, chunked := range []bool{false, true} {
+			// Hiding the reader's type hides its length, so the client
+			// sends the body chunked.
+			var body io.Reader = strings.NewReader(big)
+			if chunked {
+				body = struct{ io.Reader }{body}
+			}
+			req, err := http.NewRequest(http.MethodPost, ts.URL+path, body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := req.ContentLength; (got == 0) != chunked || (!chunked && got <= maxBodyBytes) {
+				t.Fatalf("chunked=%v: request Content-Length %d", chunked, got)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var out bytes.Buffer
+			_, _ = out.ReadFrom(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusRequestEntityTooLarge || errCode(t, out.Bytes()) != "body_too_large" {
+				t.Fatalf("%s chunked=%v: status %d code %q", path, chunked, resp.StatusCode, errCode(t, out.Bytes()))
+			}
 		}
 	}
 }

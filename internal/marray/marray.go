@@ -74,6 +74,17 @@ func NewDense(m, n int) *Dense {
 	return &Dense{m: m, n: n, data: make([]float64, m*n)}
 }
 
+// DenseOf wraps data, an m x n matrix stored row-major, without copying
+// it: the matrix owns data from then on, and the caller must not write
+// to it. It is how a decoder that parses entries straight into one flat
+// slice hands them over.
+func DenseOf(m, n int, data []float64) *Dense {
+	if m < 0 || n < 0 || len(data) != m*n {
+		merr.Throwf(merr.ErrDimensionMismatch, "marray: DenseOf(%d, %d): %d entries, want %d x %d", m, n, len(data), m, n)
+	}
+	return &Dense{m: m, n: n, data: data}
+}
+
 // FromRows builds a dense matrix from a slice of equal-length rows.
 func FromRows(rows [][]float64) *Dense {
 	m := len(rows)

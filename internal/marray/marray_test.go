@@ -43,6 +43,26 @@ func TestFromRowsAndMaterialize(t *testing.T) {
 	}
 }
 
+// TestDenseOfWraps pins that DenseOf shares the caller's slice
+// row-major and rejects a length that is not m*n.
+func TestDenseOfWraps(t *testing.T) {
+	data := []float64{1, 2, 3, 4, 5, 6}
+	d := DenseOf(2, 3, data)
+	if d.Rows() != 2 || d.Cols() != 3 || d.At(1, 0) != 4 || d.At(0, 2) != 3 {
+		t.Fatalf("DenseOf(2, 3) read wrong: %v", d)
+	}
+	data[5] = 9
+	if d.At(1, 2) != 9 {
+		t.Fatal("DenseOf copied its input")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("DenseOf should panic on a length that is not m*n")
+		}
+	}()
+	DenseOf(2, 2, data)
+}
+
 func TestFromRowsRagged(t *testing.T) {
 	defer func() {
 		if recover() == nil {
