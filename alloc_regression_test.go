@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"monge/internal/core"
+	"monge/internal/faults"
 	"monge/internal/marray"
 	"monge/internal/pram"
 	"monge/internal/smawk"
@@ -86,13 +87,8 @@ func TestAllocationBudgets(t *testing.T) {
 			smawk.StaircaseRowMinima(a)
 			return func() { smawk.StaircaseRowMinima(a) }
 		},
-		"pram-rowminima-n256": func() func() {
-			a := marray.RandomMonge(rand.New(rand.NewSource(22)), 256, 256)
-			mach := pram.New(pram.CRCW, 256)
-			mach.SetWorkers(1) // AllocsPerRun pins GOMAXPROCS(1); keep the probe serial
-			core.RowMinima(mach, a)
-			return func() { core.RowMinima(mach, a) }
-		},
+		"pram-rowminima-n256":        pramRowMinimaProbe(nil),
+		"pram-rowminima-n256-faults": pramRowMinimaProbe(faults.New(7, 0.05)),
 	}
 
 	for name, setup := range probes {
@@ -109,5 +105,20 @@ func TestAllocationBudgets(t *testing.T) {
 					name, got, gate.BudgetAllocsPerRun)
 			}
 		})
+	}
+}
+
+// pramRowMinimaProbe is the PRAM row-minima probe with inj as its
+// machine's only fault injector: pram.New attaches the process-wide
+// one, which a FAULT_RATE run arms, and the probe replaces it so each
+// budget prices exactly the fault schedule its gate names.
+func pramRowMinimaProbe(inj *faults.Injector) func() func() {
+	return func() func() {
+		a := marray.RandomMonge(rand.New(rand.NewSource(22)), 256, 256)
+		mach := pram.New(pram.CRCW, 256)
+		mach.SetFaults(inj)
+		mach.SetWorkers(1) // AllocsPerRun pins GOMAXPROCS(1); keep the probe serial
+		core.RowMinima(mach, a)
+		return func() { core.RowMinima(mach, a) }
 	}
 }

@@ -15,9 +15,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"testing"
-	"time"
 
 	"monge/internal/core"
 	"monge/internal/dp"
@@ -29,7 +27,6 @@ import (
 	"monge/internal/obs"
 	"monge/internal/pram"
 	"monge/internal/rect"
-	"monge/internal/serve"
 	"monge/internal/smawk"
 	"monge/internal/stredit"
 	"monge/internal/transport"
@@ -681,75 +678,6 @@ func BenchmarkObsOverhead(b *testing.B) {
 	})
 }
 
-// --- Concurrent serving: DriverPool throughput -----------------------------
-
-// BenchmarkDriverPoolThroughput measures end-to-end queries/sec of the
-// sharded serving layer on an n=1024 row-minima mix of implicit inputs,
-// evaluated directly by the workers, at 1, 2, 4, and GOMAXPROCS
-// workers. The headline metric is queries/s; wall-clock scaling across
-// the worker ladder is what BENCH_throughput.json records and CI gates.
-// On a single-core runner the ladder is flat by construction — the
-// recorded baseline carries the cpu count for exactly that reason.
-func BenchmarkDriverPoolThroughput(b *testing.B) {
-	driverPoolThroughput(b, BackendPRAM)
-}
-
-// BenchmarkDriverPoolThroughputNative is the same serve mix on the
-// native execution backend. The two ladders share one schema in
-// BENCH_throughput.json; the CI throughput-smoke job gates native w1 at
-// >= the recorded multiple of PRAM w1 from the same fresh run (the
-// simulator's superstep accounting dominates its runtime, so the ratio
-// is core-count independent).
-func BenchmarkDriverPoolThroughputNative(b *testing.B) {
-	driverPoolThroughput(b, BackendNative)
-}
-
-func driverPoolThroughput(b *testing.B, be Backend) {
-	const n = 1024
-	const queriesPerOp = 32
-	rng := rand.New(rand.NewSource(1))
-	// Distinct matrices, round-robined, so shards can't ride one warm
-	// working set.
-	mats := make([]Matrix, 8)
-	for i := range mats {
-		d := marray.RandomMonge(rng, n, n)
-		mats[i] = marray.Func{M: n, N: n, F: d.At}
-	}
-	ladder := []int{1, 2, 4}
-	if gmp := runtime.GOMAXPROCS(0); gmp != 1 && gmp != 2 && gmp != 4 {
-		ladder = append(ladder, gmp)
-	}
-	for _, w := range ladder {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			b.ReportAllocs()
-			pool := serve.New(pram.CRCW, serve.Options{Workers: w, Backend: be})
-			defer pool.Close()
-			tickets := make([]*serve.Ticket, queriesPerOp)
-			b.ResetTimer()
-			start := time.Now()
-			for i := 0; i < b.N; i++ {
-				for q := 0; q < queriesPerOp; q++ {
-					t, err := pool.Submit(serve.Query{Kind: serve.RowMinima, A: mats[q%len(mats)]})
-					if err != nil {
-						b.Fatal(err)
-					}
-					tickets[q] = t
-				}
-				for _, t := range tickets {
-					if res := t.Result(); res.Err != nil {
-						b.Fatal(res.Err)
-					}
-				}
-			}
-			elapsed := time.Since(start)
-			b.StopTimer()
-			b.ReportMetric(float64(b.N*queriesPerOp)/elapsed.Seconds(), "queries/s")
-			st := pool.Stats()
-			b.ReportMetric(float64(st.Imbalance), "imbalance")
-		})
-	}
-}
-
 // BenchmarkBackendKernels is the per-kernel PRAM-vs-native latency and
 // allocation comparison recorded in EXPERIMENTS.md ("Execution
 // backends"): each of the three query kinds runs through a steady-state
@@ -791,42 +719,5 @@ func BenchmarkBackendKernels(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkBackendKernelScans covers the shapes the branchless scan
-// pass targets, through the same BatchDriver seam as
-// BenchmarkBackendKernels: "narrow" takes the whole-row dense scan
-// fast path (n <= smawk.DenseScanCols, no SMAWK recursion on native),
-// and the two "huge-aspect" rows pin the merge-path dispatch — a 1-row
-// input must split by column segments instead of serializing, and a
-// 1-column input must still answer through the row-block path. The
-// isolated kernel-vs-scalar numbers live in internal/smawk's
-// BenchmarkScanKernels; these rows price the same kernels end-to-end.
-func BenchmarkBackendKernelScans(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	narrow := marray.RandomMonge(rng, 4096, 32)
-	wide := marray.RandomMonge(rng, 1, 1<<16)
-	tall := marray.RandomMonge(rng, 1<<16, 1)
-	for _, be := range []Backend{BackendPRAM, BackendNative} {
-		d := NewBatchDriverBackend(CRCW, be)
-		defer d.Close()
-		for _, tc := range []struct {
-			name string
-			a    Matrix
-		}{
-			{"narrow/4096x32", narrow},
-			{"huge-aspect/1x65536", wide},
-			{"huge-aspect/65536x1", tall},
-		} {
-			b.Run(fmt.Sprintf("backend=%s/%s", be, tc.name), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := d.RowMinima(tc.a); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
 	}
 }

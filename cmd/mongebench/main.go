@@ -161,10 +161,6 @@ func mainImpl(args []string, stdout, stderr io.Writer) (code int) {
 	fs.IntVar(&workersN, "workers", 0, "driver-pool worker count for -serve (0 = GOMAXPROCS)")
 	fs.Float64Var(&qpsLimit, "qps", 0, "throttle -serve submissions to this many queries per second (0 = unthrottled)")
 	fs.IntVar(&queriesN, "queries", 256, "total queries submitted by -serve")
-	fs.BoolVar(&indexOn, "index", false, "run the submatrix-maximum index ladder (build cost, index bytes, p50/p95 per-query latency vs an uncached SMAWK call at n in {256, 1024, 4096}) instead of the -exp experiments")
-	fs.StringVar(&indexOut, "index-out", "", "with -index: write the ladder as JSON (schema monge-index/v1) to this file (\"-\" for stdout)")
-	fs.BoolVar(&minplusOn, "minplus", false, "run the Monge (min,+) multiplication ladder (SMAWK engine vs naive O(n^3), M-link path vs reference DP, at n in {256, 1024, 4096}) instead of the -exp experiments")
-	fs.StringVar(&minplusOut, "minplus-out", "", "with -minplus: write the ladder as JSON (schema monge-minplus/v1) to this file (\"-\" for stdout)")
 	fs.StringVar(&traceFlag, "trace", "", "write aggregated per-step runtime counters as JSON to this file (\"-\" for stdout)")
 	fs.DurationVar(&timeout, "timeout", 0, "cancel the run after this duration (0 = no deadline)")
 	fs.Float64Var(&faultRate, "faults", 0, "per-unit fault injection rate in (0, 0.9]; 0 disables injection")
@@ -198,18 +194,6 @@ func mainImpl(args []string, stdout, stderr io.Writer) (code int) {
 	}
 	if latOut != "" && !openLoop {
 		fmt.Fprintln(stderr, "mongebench: -latency-out requires -openloop (it records the open-loop latency ladder)")
-		return 2
-	}
-	if indexOut != "" && !indexOn {
-		fmt.Fprintln(stderr, "mongebench: -index-out requires -index (it records the index ladder)")
-		return 2
-	}
-	if minplusOut != "" && !minplusOn {
-		fmt.Fprintln(stderr, "mongebench: -minplus-out requires -minplus (it records the (min,+) ladder)")
-		return 2
-	}
-	if minplusOn && (indexOn || serveOn) {
-		fmt.Fprintln(stderr, "mongebench: -minplus is its own mode; drop -index/-serve")
 		return 2
 	}
 
@@ -276,19 +260,7 @@ func mainImpl(args []string, stdout, stderr io.Writer) (code int) {
 			failed = true
 		}
 	}
-	if minplusOn {
-		matched = true
-		if err := runExperiment(minplusExp); err != nil {
-			fmt.Fprintf(errw, "\nminplus experiment aborted: %v\n", err)
-			failed = true
-		}
-	} else if indexOn {
-		matched = true
-		if err := runExperiment(indexExp); err != nil {
-			fmt.Fprintf(errw, "\nindex experiment aborted: %v\n", err)
-			failed = true
-		}
-	} else if openLoop {
+	if openLoop {
 		matched = true
 		if err := runExperiment(openLoopExp); err != nil {
 			fmt.Fprintf(errw, "\nopen-loop experiment aborted: %v\n", err)

@@ -39,7 +39,7 @@ type latencyPoint struct {
 	P99us         int64   `json:"p99_us"`
 }
 
-// latencyLadder is the committed BENCH_latency.json document.
+// latencyLadder is the -latency-out document.
 type latencyLadder struct {
 	Schema          string  `json:"schema"`
 	Backend         string  `json:"backend"`
@@ -47,10 +47,9 @@ type latencyLadder struct {
 	CPUs            int     `json:"cpus"`
 	BaseQPS         float64 `json:"base_qps"`
 	QueriesPerPoint int     `json:"queries_per_point"`
-	// MaxLowLoadRejection is the acceptance cap the drift test and the
-	// CI latency-smoke gate enforce on the 0.5x rung's rejection rate:
-	// at half the calibrated rate the front must admit essentially
-	// everything.
+	// MaxLowLoadRejection is the acceptance cap the CI serve-chaos job
+	// enforces on a fresh run's 0.5x rung rejection rate: at half the
+	// calibrated rate the front must admit essentially everything.
 	MaxLowLoadRejection float64        `json:"max_low_load_rejection"`
 	Points              []latencyPoint `json:"points"`
 }

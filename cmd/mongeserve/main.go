@@ -4,10 +4,11 @@
 //	mongeserve -addr :8080 -workers 4 -backend native \
 //	    -max-inflight 64 -queue 128 -hedge-after 5ms
 //
-// Endpoints: POST /v1/query, GET /v1/stats, GET /debug/vars. See the
-// README "Load discipline" section for the request schema and the
-// typed-error-to-status mapping. SIGINT/SIGTERM drains the pool before
-// exiting (in-flight queries finish; new submissions get 503).
+// Endpoints: POST /v1/query, POST /v1/index, GET /v1/stats,
+// GET /metrics, GET /debug/vars. See the README "Load discipline"
+// section for the request schema and the typed-error-to-status mapping.
+// SIGINT/SIGTERM drains the pool before exiting (in-flight queries
+// finish; new submissions get 503).
 package main
 
 import (
@@ -75,10 +76,14 @@ func mainImpl(args []string, stderr *os.File) int {
 	})
 	var front *admit.Front = pool.Front()
 
+	// ReadTimeout bounds the whole request read, body included, so a
+	// client that trickles its body cannot hold the connection and its
+	// read buffer indefinitely; it also caps keep-alive idle time.
 	srv := &http.Server{
 		Addr:              *addr,
 		Handler:           httpfront.New(front).Handler(),
 		ReadHeaderTimeout: 5 * time.Second,
+		ReadTimeout:       30 * time.Second,
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)

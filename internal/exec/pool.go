@@ -113,11 +113,12 @@ func ChunkBoundsGrain(n, grain int) (size, count int) {
 
 // job is one parallel loop, shared by every goroutine helping with it.
 // Chunk k covers indices [k*size, min((k+1)*size, n)); claimants take the
-// next unclaimed chunk by incrementing next. The last three fields are nil
+// next unclaimed chunk by incrementing next. The last four fields are nil
 // on the For fast path: stall injects per-chunk processor stalls, stalls
-// accumulates how many were delivered to this job, and abort (set on
-// context cancellation) makes claimants drain remaining chunks without
-// executing them, so the barrier releases promptly.
+// accumulates how many were delivered to this job, done is the loop
+// context's Done channel, which every claimant polls before each chunk,
+// and abort (set once done is closed) makes claimants drain remaining
+// chunks without executing them, so the barrier releases promptly.
 type job struct {
 	next   *int64
 	n      int
@@ -126,6 +127,7 @@ type job struct {
 	wg     *sync.WaitGroup
 	stall  func(chunk, attempt int) bool
 	stalls *int64
+	done   <-chan struct{}
 	abort  *atomic.Bool
 }
 
@@ -159,32 +161,28 @@ func (j job) run() {
 		if lo >= j.n {
 			return
 		}
-		if j.abort == nil || !j.abort.Load() {
+		if !j.aborted() {
 			j.runChunk(k, lo)
 		}
 		j.wg.Done()
 	}
 }
 
-// runCtx is run for the calling goroutine of a cancellable loop: it polls
-// ctx between chunks and trips the shared abort flag on cancellation, so
-// the workers drain the remaining chunks without executing them.
-func (j job) runCtx(ctx context.Context) {
-	for {
-		k := atomic.AddInt64(j.next, 1) - 1
-		lo := int(k) * j.size
-		if lo >= j.n {
-			return
-		}
-		aborted := j.abort.Load()
-		if !aborted && ctx != nil && ctx.Err() != nil {
-			j.abort.Store(true)
-			aborted = true
-		}
-		if !aborted {
-			j.runChunk(k, lo)
-		}
-		j.wg.Done()
+// aborted reports whether the loop was canceled, tripping abort the
+// first time a claimant sees done closed.
+func (j job) aborted() bool {
+	if j.abort == nil {
+		return false
+	}
+	if j.abort.Load() {
+		return true
+	}
+	select {
+	case <-j.done:
+		j.abort.Store(true)
+		return true
+	default:
+		return false
 	}
 }
 
@@ -435,10 +433,13 @@ func (p *Pool) Run(l Loop) (RunResult, error) {
 		next: &next, n: l.N, size: size, body: l.Body, wg: &wg,
 		stall: l.Stall, stalls: &stalls, abort: &abort,
 	}
+	if l.Ctx != nil {
+		j.done = l.Ctx.Done()
+	}
 	if p.workers > 1 && count > 1 && (l.Grain > 0 || l.N >= serialCutoff) {
 		p.publish(j, count)
 	}
-	j.runCtx(l.Ctx)
+	j.run()
 	wg.Wait()
 	countLoop(count)
 	res := RunResult{Chunks: count, Stalls: atomic.LoadInt64(&stalls)}

@@ -100,6 +100,16 @@ func TestRunCancelDrainsAndLeaksNothing(t *testing.T) {
 	if res.Chunks == 0 {
 		t.Fatal("Run must still report the loop's chunk structure")
 	}
+	// A few coarse chunks: the workers must not claim them all before
+	// the caller sees the cancellation.
+	for rep := 0; rep < 200; rep++ {
+		if _, err := p.Run(Loop{N: 4, Grain: 1, Body: func(i int) { atomic.AddInt64(&executed, 1) }, Ctx: ctx}); err != context.Canceled {
+			t.Fatalf("pre-cancelled coarse Run returned %v, want context.Canceled", err)
+		}
+	}
+	if got := atomic.LoadInt64(&executed); got != 0 {
+		t.Fatalf("pre-cancelled coarse Runs executed %d iterations, want 0", got)
+	}
 
 	ctx2, cancel2 := context.WithCancel(context.Background())
 	var ran int64

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"sort"
 	"sync"
 	"testing"
 
@@ -342,5 +343,42 @@ func TestIndexFootprint(t *testing.T) {
 	bpLimit := m * (11 + 2) // m rows x (log2(m)+2) levels
 	if bp := ix.Breakpoints(); bp <= 0 || bp > bpLimit {
 		t.Fatalf("Breakpoints() = %d, want in (0, %d]: envelope storage should be O(m log m)", bp, bpLimit)
+	}
+}
+
+// TestQueryEvaluationsBeatSMAWK pins the index's algorithmic claim in
+// entry evaluations, which no runner's load can perturb: on a seeded
+// n=4096 input, the p95 over random rectangles of the entries one query
+// reads, times minSpeedupP95, is at most what one smawk.RowMinima pass
+// over the same input reads. The input is an implicit Func, so every
+// read goes through At and is counted; Build's reads are not.
+func TestQueryEvaluationsBeatSMAWK(t *testing.T) {
+	const (
+		n             = 4096
+		queries       = 1000
+		minSpeedupP95 = 12
+	)
+	rng := rand.New(rand.NewSource(1))
+	d := marray.RandomMongeInt(rng, n, n, 8)
+	var evals int64
+	a := marray.Func{M: n, N: n, F: func(i, j int) float64 { evals++; return d.At(i, j) }}
+
+	smawk.RowMinima(a)
+	smawkEvals := evals
+
+	ix := mindex.Build(a, mindex.Opts{})
+	per := make([]int64, queries)
+	for q := range per {
+		r1, c1 := rng.Intn(n), rng.Intn(n)
+		r2, c2 := r1+rng.Intn(n-r1), c1+rng.Intn(n-c1)
+		evals = 0
+		ix.SubmatrixMax(r1, r2, c1, c2)
+		per[q] = evals
+	}
+	sort.Slice(per, func(i, j int) bool { return per[i] < per[j] })
+	p95 := per[queries*95/100]
+	t.Logf("smawk.RowMinima: %d evaluations; query p95: %d (%.1fx)", smawkEvals, p95, float64(smawkEvals)/float64(max(p95, 1)))
+	if p95*minSpeedupP95 > smawkEvals {
+		t.Fatalf("query p95 %d evaluations x %d > %d of one SMAWK pass", p95, minSpeedupP95, smawkEvals)
 	}
 }

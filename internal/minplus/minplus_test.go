@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"monge/internal/batch"
@@ -174,5 +175,40 @@ func TestIntoSliceTooShort(t *testing.T) {
 			t.Fatalf("%s StaircaseRowMinimaInto short: err=%v, want ErrDimensionMismatch", bk.name, err)
 		}
 		d.Close()
+	}
+}
+
+// TestMultiplyEvaluationsBeatNaive pins the engine's algorithmic claim
+// in entry evaluations, which no runner's load can perturb: on a seeded
+// 8x1024 by 1024x1024 product, B's entries read times
+// minEngineOverNaive is at most the m·q·r the naive product reads, on
+// both backends. B is an implicit Func and the shape keeps it off the
+// transposed copy, so every read is one of the row queries' own.
+func TestMultiplyEvaluationsBeatNaive(t *testing.T) {
+	const (
+		m, q, r            = 8, 1024, 1024
+		minEngineOverNaive = 20
+	)
+	if transposePays(m, q, r) {
+		t.Fatalf("%dx%dx%d reads B through a transposed copy; the count would measure the copy", m, q, r)
+	}
+	rng := rand.New(rand.NewSource(1))
+	a := marray.RandomMonge(rng, m, q)
+	d := marray.RandomMonge(rng, q, r)
+	var evals atomic.Int64
+	b := marray.Func{M: q, N: r, F: func(j, k int) float64 { evals.Add(1); return d.At(j, k) }}
+	for _, bk := range backends {
+		t.Run(bk.name, func(t *testing.T) {
+			e := New(bk.be)
+			defer e.Close()
+			evals.Store(0)
+			p := e.Multiply(a, b)
+			got := evals.Load()
+			checkAgainstNaive(t, p, a, d)
+			t.Logf("%d evaluations of B against %d naive (%.0fx)", got, m*q*r, float64(m*q*r)/float64(got))
+			if got*minEngineOverNaive > m*q*r {
+				t.Fatalf("%d evaluations of B x %d > %d of the naive product", got, minEngineOverNaive, m*q*r)
+			}
+		})
 	}
 }

@@ -6,7 +6,7 @@ import (
 	"time"
 )
 
-// TestHistBuckets pins the power-of-two bucket mapping at its edges.
+// TestHistBuckets pins the log-linear bucket mapping at its edges.
 func TestHistBuckets(t *testing.T) {
 	for _, tc := range []struct {
 		d    time.Duration
@@ -15,14 +15,57 @@ func TestHistBuckets(t *testing.T) {
 		{0, 0},
 		{-time.Second, 0}, // clamped, not a panic
 		{time.Microsecond, 1},
-		{2 * time.Microsecond, 2},
-		{3 * time.Microsecond, 2},
-		{4 * time.Microsecond, 3},
-		{time.Millisecond, 10},
-		{time.Hour, HistBuckets - 1}, // clamped into the last bucket
+		{7 * time.Microsecond, 7},
+		{8 * time.Microsecond, 8},
+		{15 * time.Microsecond, 15},
+		{16 * time.Microsecond, 16},
+		{17 * time.Microsecond, 16}, // [16, 18)
+		{18 * time.Microsecond, 17},
+		{time.Millisecond, 63},        // [960, 1024)
+		{1024 * time.Microsecond, 64}, // [1024, 1152)
+		{time.Hour, HistBuckets - 1},  // clamped into the last bucket
 	} {
 		if got := bucketOf(tc.d); got != tc.want {
 			t.Errorf("bucketOf(%v) = %d, want %d", tc.d, got, tc.want)
+		}
+	}
+}
+
+// TestHistResolution pins what the log-linear buckets are for: from
+// 8 µs up, Quantile is at most 12.5 % above the value it bounds, and a
+// tail of 1 % is told apart from the body — p95 != p99 — both when the
+// two values sit in different octaves and in one octave, where
+// power-of-two buckets could not separate them.
+func TestHistResolution(t *testing.T) {
+	check := func(v time.Duration) {
+		var h Hist
+		h.Observe(v)
+		if got := h.Quantile(0.5); got < v || 8*got > 9*v {
+			t.Fatalf("Quantile of a single %v = %v, want in [v, 1.125v]", v, got)
+		}
+	}
+	for us := 8; us < 1<<14; us++ {
+		check(time.Duration(us) * time.Microsecond)
+	}
+	for e := 14; e < 27; e++ {
+		for _, off := range []int64{0, 1, 3, 1<<(e-3) - 1, 1 << (e - 3), 1<<e - 1} {
+			check(time.Duration(1<<e+off) * time.Microsecond)
+		}
+	}
+
+	for _, mix := range [][2]time.Duration{
+		{1000 * time.Microsecond, 1500 * time.Microsecond},
+		{1100 * time.Microsecond, 1500 * time.Microsecond},
+	} {
+		var h Hist
+		for i := 0; i < 990; i++ {
+			h.Observe(mix[0])
+		}
+		for i := 0; i < 10; i++ {
+			h.Observe(mix[1])
+		}
+		if p95, p99 := h.Quantile(0.95), h.Quantile(0.99); p95 == p99 {
+			t.Errorf("99:1 mix of %v and %v: p95 = p99 = %v", mix[0], mix[1], p95)
 		}
 	}
 }
@@ -67,13 +110,13 @@ func TestHistSnapshotTrimmed(t *testing.T) {
 	if h.Snapshot() != nil {
 		t.Fatal("empty histogram snapshot != nil")
 	}
-	h.Observe(3 * time.Microsecond) // bucket 2
+	h.Observe(3 * time.Microsecond) // bucket 3
 	snap := h.Snapshot()
-	if len(snap) != 3 {
-		t.Fatalf("snapshot length %d, want 3 (trimmed after last non-empty bucket)", len(snap))
+	if len(snap) != 4 {
+		t.Fatalf("snapshot length %d, want 4 (trimmed after last non-empty bucket)", len(snap))
 	}
-	if snap[2] != 1 {
-		t.Fatalf("bucket 2 = %d, want 1", snap[2])
+	if snap[3] != 1 {
+		t.Fatalf("bucket 3 = %d, want 1", snap[3])
 	}
 }
 

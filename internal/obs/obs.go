@@ -200,10 +200,11 @@ type CounterSnapshot struct {
 	Retried         int64 `json:"retried,omitempty"`
 	DeadlineExpired int64 `json:"deadline_expired,omitempty"`
 
-	// QueueWaitUS are the queue-wait histogram buckets (bucket i counts
-	// waits in [2^(i-1), 2^i) microseconds; bucket 0 is sub-microsecond),
-	// with the approximate p50/p95/p99 alongside for dashboards that do
-	// not want to fold buckets themselves.
+	// QueueWaitUS are the queue-wait histogram buckets, log-linear in
+	// microseconds as HistBuckets describes (bucket i < 8 counts waits
+	// of i µs; from 8 µs up, 8 buckets per octave), with the approximate
+	// p50/p95/p99 alongside for dashboards that do not want to fold
+	// buckets themselves.
 	QueueWaitUS  []int64 `json:"queue_wait_us,omitempty"`
 	QueueWaitP50 int64   `json:"queue_wait_p50_us,omitempty"`
 	QueueWaitP95 int64   `json:"queue_wait_p95_us,omitempty"`

@@ -261,7 +261,8 @@ func branchyArgMaxSkipInf(row []float64) int {
 // branchless 4-wide kernels. Each iteration scans a different row from
 // a 16-row rotation — a single fixed row would let the branch
 // predictor memorize the scalar loops' decision sequence, a luxury the
-// real scans (a fresh row per call) never get.
+// real scans (a fresh row per call) never get. Nothing gates it; it is
+// a tool for local study.
 func BenchmarkScanKernels(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
 	const rot = 16

@@ -2,121 +2,14 @@ package monge
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"math"
 	"math/rand"
-	"os"
 	"testing"
 
 	"monge/internal/marray"
 	"monge/internal/minplus"
 )
-
-// BENCH_minplus.json (schema monge-minplus/v1) is the committed
-// (min,+) multiplication baseline, recorded by
-//
-//	mongebench -minplus -minplus-out BENCH_minplus.json
-//
-// For each ladder size it records the engine and naive O(n³) multiply
-// latencies (naive skipped past n=1024), the product's run-length core
-// size, and the M-link solver against its O(n²M) reference DP.
-// TestMinPlusBaseline keeps the file honest and enforces the
-// acceptance: at n = gate_n the SMAWK-backed engine must beat the naive
-// multiply by at least min_engine_over_naive. The reduction is
-// algorithmic — O(n²) vs O(n³) entry evaluations — so the ratio holds
-// on any machine; absolute nanoseconds are not gated.
-type minplusBaseline struct {
-	Schema             string  `json:"schema"`
-	CPUs               int     `json:"cpus"`
-	Seed               int64   `json:"seed"`
-	GateN              int     `json:"gate_n"`
-	MinEngineOverNaive float64 `json:"min_engine_over_naive"`
-	Points             []struct {
-		N               int     `json:"n"`
-		EngineNS        int64   `json:"engine_ns"`
-		NaiveNS         int64   `json:"naive_ns"`
-		EngineOverNaive float64 `json:"engine_over_naive"`
-		Runs            int     `json:"runs"`
-		DenseCells      int     `json:"dense_cells"`
-		MLinkM          int     `json:"mlink_m"`
-		MLinkNS         int64   `json:"mlink_ns"`
-		MLinkRefNS      int64   `json:"mlink_ref_ns"`
-		MLinkSpeedup    float64 `json:"mlink_speedup"`
-	} `json:"points"`
-}
-
-// TestMinPlusBaseline validates the committed (min,+) baseline: a
-// complete, self-consistent ladder whose gate size demonstrates the
-// point of the engine — a product an order of magnitude (and more)
-// cheaper than the cubic scan.
-func TestMinPlusBaseline(t *testing.T) {
-	raw, err := os.ReadFile("BENCH_minplus.json")
-	if err != nil {
-		t.Fatalf("read baseline: %v", err)
-	}
-	var b minplusBaseline
-	if err := json.Unmarshal(raw, &b); err != nil {
-		t.Fatalf("parse BENCH_minplus.json: %v", err)
-	}
-	if b.Schema != "monge-minplus/v1" {
-		t.Fatalf("BENCH_minplus.json schema %q, want monge-minplus/v1", b.Schema)
-	}
-	if b.CPUs < 1 {
-		t.Fatalf("baseline provenance incomplete: cpus=%d", b.CPUs)
-	}
-	if b.MinEngineOverNaive < 20 {
-		t.Fatalf("min_engine_over_naive %g weakens the committed acceptance bound of 20", b.MinEngineOverNaive)
-	}
-	wantN := []int{256, 1024, 4096}
-	if len(b.Points) != len(wantN) {
-		t.Fatalf("%d ladder sizes, want %d (256, 1024, 4096)", len(b.Points), len(wantN))
-	}
-	gateSeen := false
-	for i, p := range b.Points {
-		if p.N != wantN[i] {
-			t.Fatalf("point %d has n=%d, want %d", i, p.N, wantN[i])
-		}
-		if p.EngineNS <= 0 {
-			t.Errorf("n=%d engine_ns=%d, want > 0", p.N, p.EngineNS)
-		}
-		if p.DenseCells != p.N*p.N {
-			t.Errorf("n=%d dense_cells=%d, want n²=%d", p.N, p.DenseCells, p.N*p.N)
-		}
-		// The core is at least one run per output row and never denser
-		// than the dense representation it replaces.
-		if p.Runs < p.N || p.Runs > p.DenseCells {
-			t.Errorf("n=%d runs=%d outside [n, n²]", p.N, p.Runs)
-		}
-		if p.NaiveNS > 0 {
-			want := float64(p.NaiveNS) / float64(p.EngineNS)
-			if diff := p.EngineOverNaive - want; diff > 1e-6 || diff < -1e-6 {
-				t.Errorf("n=%d engine_over_naive %g inconsistent with naive/engine = %g",
-					p.N, p.EngineOverNaive, want)
-			}
-		}
-		if p.MLinkM <= 0 || p.MLinkNS <= 0 || p.MLinkRefNS <= 0 {
-			t.Errorf("n=%d M-link columns incomplete: m=%d ns=%d ref_ns=%d",
-				p.N, p.MLinkM, p.MLinkNS, p.MLinkRefNS)
-		}
-		if want := float64(p.MLinkRefNS) / float64(p.MLinkNS); math.Abs(p.MLinkSpeedup-want) > 1e-6 {
-			t.Errorf("n=%d mlink_speedup %g inconsistent with ref/engine = %g", p.N, p.MLinkSpeedup, want)
-		}
-		if p.N == b.GateN {
-			gateSeen = true
-			if p.NaiveNS <= 0 {
-				t.Errorf("gate size n=%d has no naive measurement", p.N)
-			}
-			if p.EngineOverNaive < b.MinEngineOverNaive {
-				t.Errorf("n=%d engine_over_naive %.1fx below the committed bound %.0fx — re-record BENCH_minplus.json",
-					p.N, p.EngineOverNaive, b.MinEngineOverNaive)
-			}
-		}
-	}
-	if !gateSeen {
-		t.Fatalf("gate_n=%d is not a ladder size", b.GateN)
-	}
-}
 
 // TestMinPlusFacade covers the public (min,+) surface end to end:
 // dense and staircase factors against the naive oracle with index-exact
