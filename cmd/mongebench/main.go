@@ -28,12 +28,6 @@
 // flat when the measured growth matches the claimed bound. See
 // EXPERIMENTS.md for the recorded runs and deviations.
 //
-// With -trace, every simulated machine (including the recursive child
-// machines that ParallelDo and Subcubes create) reports per-step runtime
-// counters to a shared collector, and the aggregate is written as JSON
-// ("-" for stdout) when the experiments finish. The schema is documented
-// in README.md under "Instrumentation".
-//
 // With -metrics, the observability layer (internal/obs) is installed
 // process-wide and the per-site counters — charged supersteps/time/work,
 // shared-memory reads/writes, write conflicts by mode, link messages and
@@ -68,7 +62,6 @@ import (
 
 	"monge/internal/batch"
 	"monge/internal/core"
-	"monge/internal/exec"
 	"monge/internal/faults"
 	"monge/internal/geom"
 	"monge/internal/hcmonge"
@@ -100,7 +93,6 @@ var (
 	workersN  int
 	qpsLimit  float64
 	queriesN  int
-	traceFlag string
 	timeout   time.Duration
 	faultRate float64
 	faultSeed int64
@@ -161,7 +153,6 @@ func mainImpl(args []string, stdout, stderr io.Writer) (code int) {
 	fs.IntVar(&workersN, "workers", 0, "driver-pool worker count for -serve (0 = GOMAXPROCS)")
 	fs.Float64Var(&qpsLimit, "qps", 0, "throttle -serve submissions to this many queries per second (0 = unthrottled)")
 	fs.IntVar(&queriesN, "queries", 256, "total queries submitted by -serve")
-	fs.StringVar(&traceFlag, "trace", "", "write aggregated per-step runtime counters as JSON to this file (\"-\" for stdout)")
 	fs.DurationVar(&timeout, "timeout", 0, "cancel the run after this duration (0 = no deadline)")
 	fs.Float64Var(&faultRate, "faults", 0, "per-unit fault injection rate in (0, 0.9]; 0 disables injection")
 	fs.Int64Var(&faultSeed, "fault-seed", 1, "seed of the deterministic fault schedule")
@@ -197,13 +188,6 @@ func mainImpl(args []string, stdout, stderr io.Writer) (code int) {
 		return 2
 	}
 
-	var collector *exec.Collector
-	if traceFlag != "" {
-		collector = exec.NewCollector()
-		prev := exec.GlobalSink()
-		exec.SetGlobalSink(collector)
-		defer exec.SetGlobalSink(prev)
-	}
 	var injector *faults.Injector
 	if faultRate > 0 {
 		injector = faults.New(faultSeed, faultRate)
@@ -295,12 +279,6 @@ func mainImpl(args []string, stdout, stderr io.Writer) (code int) {
 		fmt.Fprintf(errw, "unknown experiment %q\n", expFlag)
 		return 2
 	}
-	if collector != nil {
-		if err := writeTrace(collector, traceFlag); err != nil {
-			fmt.Fprintf(errw, "writing trace: %v\n", err)
-			return 1
-		}
-	}
 	if injector != nil {
 		s := injector.Stats()
 		printf("\ninjected faults recovered: %d stalls, %d drops, %d garbles, %d timeouts\n",
@@ -336,22 +314,6 @@ func runExperiment(f func()) (err error) {
 	defer merr.Catch(&err)
 	f()
 	return nil
-}
-
-// writeTrace dumps the collector's aggregates to path ("-" = stdout).
-func writeTrace(c *exec.Collector, path string) error {
-	if path == "-" {
-		return c.WriteJSON(out)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := c.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // writeChromeTrace dumps the observer's span log in Chrome trace_event

@@ -97,6 +97,15 @@ func TestUnknownExperimentExitsUsage(t *testing.T) {
 	}
 }
 
+// TestTraceFlagRemoved: the per-step sink export is gone; -metrics and
+// -trace-out are the instrumentation flags, so -trace is a usage error.
+func TestTraceFlagRemoved(t *testing.T) {
+	code, _, stderr := run(t, "-exp", "t11", "-maxn", "16", "-trace", "-")
+	if code != 2 || !strings.Contains(stderr, "-trace") {
+		t.Fatalf("-trace exited %d, want 2 naming the flag; stderr:\n%s", code, stderr)
+	}
+}
+
 // metricsRow is one parsed line of the -metrics table; field positions
 // follow the fixed column set of obs.(*Observer).WriteTable.
 type metricsRow struct {

@@ -119,12 +119,10 @@ type Front struct {
 	mu      sync.Mutex
 	tenants map[string]*bucket
 
-	st   Stats // atomic fields accessed via atomic helpers on int64
-	stMu struct {
-		admitted, rejected, shed, hedged, retried, deadline atomic.Int64
-	}
-
-	obsC *obs.Counters
+	// local holds the front's own admission counts (Stats); obsC mirrors
+	// them into the observer's "serve" site when one is installed.
+	local obs.Counters
+	obsC  *obs.Counters
 }
 
 // bucket is one tenant's token bucket; guarded by Front.mu.
@@ -178,22 +176,18 @@ func New(pool *serve.Pool, opt *Options) *Front {
 	f.earn = int64(budget * tokenScale)
 	f.budgetCap = 10 * tokenScale // at most 10 banked retries
 	f.budget.Store(f.budgetCap)   // start full so cold-start faults can retry
-	if ob := obs.Global(); ob != nil {
-		f.obsC = ob.Site("serve")
-	}
+	f.obsC = obs.Global().Site("serve")
 	return f
 }
 
 // Pool returns the wrapped serving pool.
 func (f *Front) Pool() *serve.Pool { return f.pool }
 
-// bump increments a local stat and, when an observer is installed, its
-// obs mirror.
-func (f *Front) bump(local *atomic.Int64, global *atomic.Int64) {
-	local.Add(1)
-	if f.obsC != nil {
-		global.Add(1)
-	}
+// bump increments admission metric id locally and, when an observer is
+// installed, in its "serve" site.
+func (f *Front) bump(id obs.ID) {
+	f.local.Add(id, 1)
+	f.obsC.Add(id, 1)
 }
 
 // Admit passes req through the admission gates and enqueues it,
@@ -203,34 +197,34 @@ func (f *Front) bump(local *atomic.Int64, global *atomic.Int64) {
 // when the ticket resolves, whether or not the caller awaits it.
 func (f *Front) Admit(ctx context.Context, req Request) (*serve.Ticket, error) {
 	if ctx.Err() != nil {
-		f.bump(&f.stMu.deadline, f.obsDeadline())
+		f.bump(obs.DeadlineExpired)
 		return nil, serve.ContextError(ctx)
 	}
 	n := f.inflight.Add(1)
 	if n > f.maxInflight {
 		f.inflight.Add(-1)
-		f.bump(&f.stMu.rejected, f.obsRejected())
+		f.bump(obs.Rejected)
 		return nil, fmt.Errorf("%w: inflight cap %d reached", ErrOverloaded, f.maxInflight)
 	}
 	if req.Priority <= 0 && n > f.shedAt {
 		f.inflight.Add(-1)
-		f.bump(&f.stMu.shed, f.obsShed())
+		f.bump(obs.Shed)
 		return nil, fmt.Errorf("%w: low-priority work shed at load %d/%d", ErrOverloaded, n, f.maxInflight)
 	}
 	if f.rate > 0 && !f.takeTenantToken(req.Tenant) {
 		f.inflight.Add(-1)
-		f.bump(&f.stMu.rejected, f.obsRejected())
+		f.bump(obs.Rejected)
 		return nil, fmt.Errorf("%w: tenant %q quota exhausted", ErrOverloaded, req.Tenant)
 	}
 	tk, err := f.pool.TrySubmit(ctx, req.Query)
 	if err != nil {
 		f.inflight.Add(-1)
 		if errors.Is(err, ErrOverloaded) {
-			f.bump(&f.stMu.rejected, f.obsRejected())
+			f.bump(obs.Rejected)
 		}
 		return nil, err
 	}
-	f.bump(&f.stMu.admitted, f.obsAdmitted())
+	f.bump(obs.Admitted)
 	f.watchers.Add(1)
 	go func() {
 		defer f.watchers.Done()
@@ -238,34 +232,6 @@ func (f *Front) Admit(ctx context.Context, req Request) (*serve.Ticket, error) {
 		f.inflight.Add(-1)
 	}()
 	return tk, nil
-}
-
-// obs accessor helpers: nil-safe targets for bump when no observer is
-// installed (bump checks obsC before touching them).
-func (f *Front) obsAdmitted() *atomic.Int64 {
-	return obsField(f.obsC, func(c *obs.Counters) *atomic.Int64 { return &c.Admitted })
-}
-func (f *Front) obsRejected() *atomic.Int64 {
-	return obsField(f.obsC, func(c *obs.Counters) *atomic.Int64 { return &c.Rejected })
-}
-func (f *Front) obsShed() *atomic.Int64 {
-	return obsField(f.obsC, func(c *obs.Counters) *atomic.Int64 { return &c.Shed })
-}
-func (f *Front) obsHedged() *atomic.Int64 {
-	return obsField(f.obsC, func(c *obs.Counters) *atomic.Int64 { return &c.Hedged })
-}
-func (f *Front) obsRetried() *atomic.Int64 {
-	return obsField(f.obsC, func(c *obs.Counters) *atomic.Int64 { return &c.Retried })
-}
-func (f *Front) obsDeadline() *atomic.Int64 {
-	return obsField(f.obsC, func(c *obs.Counters) *atomic.Int64 { return &c.DeadlineExpired })
-}
-
-func obsField(c *obs.Counters, get func(*obs.Counters) *atomic.Int64) *atomic.Int64 {
-	if c == nil {
-		return nil
-	}
-	return get(c)
 }
 
 // takeTenantToken refills and debits tenant's bucket.
@@ -352,7 +318,7 @@ func (f *Front) Do(ctx context.Context, req Request) serve.Result {
 		if err != nil {
 			if retryable(err) && attempt+1 < f.retryMax && ctx.Err() == nil && f.takeRetryToken() {
 				attempt++
-				f.bump(&f.stMu.retried, f.obsRetried())
+				f.bump(obs.Retried)
 				f.backoffSleep(ctx, attempt)
 				continue
 			}
@@ -364,12 +330,12 @@ func (f *Front) Do(ctx context.Context, req Request) serve.Result {
 			// injected transport fault. Queries are pure: resubmit and
 			// recompute; the redelivered answer is identical.
 			redelivery++
-			f.bump(&f.stMu.retried, f.obsRetried())
+			f.bump(obs.Retried)
 			continue
 		}
 		if res.Err != nil && retryable(res.Err) && attempt+1 < f.retryMax && ctx.Err() == nil && f.takeRetryToken() {
 			attempt++
-			f.bump(&f.stMu.retried, f.obsRetried())
+			f.bump(obs.Retried)
 			f.backoffSleep(ctx, attempt)
 			continue
 		}
@@ -409,7 +375,7 @@ func (f *Front) await(ctx context.Context, req Request, tk *serve.Ticket) serve.
 			return serve.Result{Err: serve.ContextError(ctx)}
 		}
 	}
-	f.bump(&f.stMu.hedged, f.obsHedged())
+	f.bump(obs.Hedged)
 	select {
 	case <-tk.Done():
 		return tk.Result()
@@ -424,12 +390,12 @@ func (f *Front) await(ctx context.Context, req Request, tk *serve.Ticket) serve.
 func (f *Front) Stats() Stats {
 	return Stats{
 		Inflight:        f.inflight.Load(),
-		Admitted:        f.stMu.admitted.Load(),
-		Rejected:        f.stMu.rejected.Load(),
-		Shed:            f.stMu.shed.Load(),
-		Hedged:          f.stMu.hedged.Load(),
-		Retried:         f.stMu.retried.Load(),
-		DeadlineExpired: f.stMu.deadline.Load(),
+		Admitted:        f.local.Load(obs.Admitted),
+		Rejected:        f.local.Load(obs.Rejected),
+		Shed:            f.local.Load(obs.Shed),
+		Hedged:          f.local.Load(obs.Hedged),
+		Retried:         f.local.Load(obs.Retried),
+		DeadlineExpired: f.local.Load(obs.DeadlineExpired),
 	}
 }
 

@@ -1,8 +1,6 @@
 package exec
 
 import (
-	"bytes"
-	"encoding/json"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -109,72 +107,5 @@ func TestDefaultPoolShared(t *testing.T) {
 	}
 	if w := Default().Workers(); w != runtime.GOMAXPROCS(0) {
 		t.Fatalf("default pool has %d workers, want GOMAXPROCS=%d", w, runtime.GOMAXPROCS(0))
-	}
-}
-
-func TestCollectorAggregatesAndJSON(t *testing.T) {
-	c := NewCollector()
-	c.Record(StepStats{Model: "pram", Op: "step", N: 100, Cost: 1, Chunks: 2, Writes: 40, MaxShard: 3})
-	c.Record(StepStats{Model: "pram", Op: "step", N: 300, Cost: 2, Chunks: 4, Writes: 10, MaxShard: 7})
-	c.Record(StepStats{Model: "hypercube", Op: "exchange", N: 64, Cost: 1, Chunks: 1})
-	sum := c.Summary()
-	if len(sum) != 2 {
-		t.Fatalf("got %d aggregates, want 2", len(sum))
-	}
-	// Sorted by (model, op): hypercube/exchange first.
-	if sum[0].Model != "hypercube" || sum[0].Op != "exchange" || sum[0].Steps != 1 || sum[0].Items != 64 {
-		t.Fatalf("unexpected first aggregate: %+v", sum[0])
-	}
-	ps := sum[1]
-	if ps.Steps != 2 || ps.Items != 400 || ps.MaxN != 300 || ps.Chunks != 6 || ps.Writes != 50 || ps.MaxShard != 7 {
-		t.Fatalf("unexpected pram aggregate: %+v", ps)
-	}
-
-	var buf bytes.Buffer
-	if err := c.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		Ops []OpStats `json:"ops"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("exported JSON does not parse: %v\n%s", err, buf.String())
-	}
-	if len(doc.Ops) != 2 || doc.Ops[1].Writes != 50 {
-		t.Fatalf("JSON round-trip mismatch: %+v", doc.Ops)
-	}
-}
-
-func TestCollectorConcurrent(t *testing.T) {
-	c := NewCollector()
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for r := 0; r < 1000; r++ {
-				c.Record(StepStats{Model: "pram", Op: "step", N: 1, Chunks: 1})
-			}
-		}()
-	}
-	wg.Wait()
-	sum := c.Summary()
-	if len(sum) != 1 || sum[0].Steps != 8000 {
-		t.Fatalf("got %+v, want 8000 steps", sum)
-	}
-}
-
-func TestGlobalSink(t *testing.T) {
-	if GlobalSink() != nil {
-		t.Fatal("global sink unexpectedly set at test start")
-	}
-	c := NewCollector()
-	SetGlobalSink(c)
-	if GlobalSink() != Sink(c) {
-		t.Fatal("SetGlobalSink did not install the sink")
-	}
-	SetGlobalSink(nil)
-	if GlobalSink() != nil {
-		t.Fatal("SetGlobalSink(nil) did not detach the sink")
 	}
 }

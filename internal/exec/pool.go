@@ -14,7 +14,7 @@
 // channel between steps, and is reused by every superstep of every
 // machine that shares it — including the child machines that ParallelDo
 // and Subcubes create for recursive subproblems, which inherit the
-// parent's pool and sink instead of falling back to a private (or worse,
+// parent's pool and observer instead of falling back to a private (or worse,
 // sequential) runtime.
 //
 // # Dispatch
@@ -333,11 +333,11 @@ publish:
 // atomic pointer load.
 func countLoop(chunks int) {
 	if o := obs.Global(); o != nil {
-		c := o.Pool()
-		c.PoolLoops.Add(1)
-		c.PoolChunks.Add(int64(chunks))
+		c := o.Site("exec.pool")
+		c.Add(obs.PoolLoops, 1)
+		c.Add(obs.PoolChunks, int64(chunks))
 		if chunks == 1 {
-			c.PoolInline.Add(1)
+			c.Add(obs.PoolInline, 1)
 		}
 	}
 }

@@ -341,8 +341,8 @@ func SetGlobal(in *Injector) {
 // Global returns the process-wide injector configured from the
 // environment, or nil when fault injection is off. FAULT_RATE (a float in
 // (0, MaxRate]) enables it; FAULT_SEED (default 1) seeds it. Parsed once;
-// newly created machines attach it by default, mirroring
-// exec.GlobalSink.
+// newly created machines attach it by default, as they attach
+// obs.Global.
 func Global() *Injector {
 	globalOnce.Do(func() {
 		v := os.Getenv("FAULT_RATE")

@@ -13,7 +13,7 @@ import (
 // machine lanes.
 func countSearch(mach *hc.Machine, name string) func() {
 	if o := obs.Global(); o != nil {
-		o.Site("hcmonge").Searches.Add(1)
+		o.Site("hcmonge").Add(obs.Searches, 1)
 	}
 	return mach.TraceSpan("hcmonge", name)
 }

@@ -55,10 +55,8 @@ import (
 	"errors"
 	"expvar"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -213,63 +211,15 @@ func (s *Server) Handler() http.Handler {
 // /metrics endpoint speaks.
 const promContentType = "text/plain; version=0.0.4; charset=utf-8"
 
-// handleMetrics renders the process-wide obs counters in Prometheus
-// text exposition format: one metric per counter, one sample per site
-// (the site riding in a label). With no observer installed the endpoint
-// answers an empty, well-typed body — scrapes succeed either way.
+// handleMetrics renders the process-wide obs metrics in Prometheus
+// text exposition format (obs.Observer.WritePrometheus): one metric per
+// descriptor, typed counter or gauge, one sample per site. With no
+// observer installed the endpoint answers an empty body — scrapes
+// succeed either way.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", promContentType)
-	o := obs.Global()
-	if o == nil {
-		return
-	}
-	writePrometheus(w, o.Snapshot())
-}
-
-// writePrometheus renders a snapshot deterministically (metrics and
-// sites in sorted order) as monge_<counter>{site="<site>"} <value>
-// lines under # TYPE headers. The counter names are taken from the
-// snapshot's JSON tags, so new obs fields show up without touching this
-// renderer; non-scalar fields (the queue-wait histogram buckets) are
-// skipped — their percentile summaries are scalar and do ship.
-func writePrometheus(w io.Writer, snap map[string]obs.CounterSnapshot) {
-	series := make(map[string]map[string]float64)
-	for site, cs := range snap {
-		raw, err := json.Marshal(cs)
-		if err != nil {
-			continue
-		}
-		var fields map[string]any
-		if err := json.Unmarshal(raw, &fields); err != nil {
-			continue
-		}
-		for name, v := range fields {
-			f, ok := v.(float64)
-			if !ok {
-				continue
-			}
-			if series[name] == nil {
-				series[name] = make(map[string]float64)
-			}
-			series[name][site] = f
-		}
-	}
-	names := make([]string, 0, len(series))
-	for name := range series {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		fmt.Fprintf(w, "# TYPE monge_%s gauge\n", name)
-		sites := make([]string, 0, len(series[name]))
-		for site := range series[name] {
-			sites = append(sites, site)
-		}
-		sort.Strings(sites)
-		for _, site := range sites {
-			fmt.Fprintf(w, "monge_%s{site=%q} %g\n", name, site, series[name][site])
-		}
-	}
+	// A failed write means the scraper went away; there is no one to tell.
+	_ = obs.Global().WritePrometheus(w)
 }
 
 // handleIndex preprocesses one matrix into a registered index. Inputs

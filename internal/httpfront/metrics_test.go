@@ -25,15 +25,18 @@ func getMetrics(t *testing.T) (*http.Response, string) {
 }
 
 // TestMetricsExposition pins the Prometheus text format: version 0.0.4
-// content type, # TYPE headers, and one monge_<counter>{site="..."}
-// sample per site with the counter's value, sites and metrics sorted.
+// content type, # TYPE headers with the declared type (counters as
+// counter, gauges as gauge), and one monge_<metric>{site="..."} sample
+// per site with the exact integer value, zeros included, sites sorted.
 func TestMetricsExposition(t *testing.T) {
 	old := obs.Global()
 	t.Cleanup(func() { obs.SetGlobal(old) })
 	o := obs.NewObserver()
-	o.Site("kernel").Supersteps.Add(5)
-	o.Site("kernel").QueriesServed.Add(7)
-	o.Site("batch").Supersteps.Add(11)
+	o.Site("kernel").Add(obs.Supersteps, 5)
+	o.Site("kernel").Add(obs.QueriesServed, 7)
+	o.Site("batch").Add(obs.Supersteps, 11)
+	o.Site("batch").Add(obs.ChargedWork, 21000000)
+	o.Site("batch").Store(obs.QueueDepth, 3)
 	obs.SetGlobal(o)
 
 	resp, body := getMetrics(t)
@@ -44,11 +47,16 @@ func TestMetricsExposition(t *testing.T) {
 		t.Fatalf("content type %q", ct)
 	}
 	for _, want := range []string{
-		"# TYPE monge_supersteps gauge\n",
+		"# TYPE monge_supersteps counter\n",
 		"monge_supersteps{site=\"kernel\"} 5\n",
 		"monge_supersteps{site=\"batch\"} 11\n",
-		"# TYPE monge_queries_served gauge\n",
+		"# TYPE monge_queries_served counter\n",
 		"monge_queries_served{site=\"kernel\"} 7\n",
+		"monge_queries_served{site=\"batch\"} 0\n",
+		"monge_charged_work{site=\"batch\"} 21000000\n",
+		"# TYPE monge_queue_depth gauge\n",
+		"monge_queue_depth{site=\"batch\"} 3\n",
+		"monge_queue_depth{site=\"kernel\"} 0\n",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("body missing %q:\n%s", want, body)

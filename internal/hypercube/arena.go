@@ -5,6 +5,7 @@ import (
 	"sync"
 	"unsafe"
 
+	"monge/internal/obs"
 	"monge/internal/scratch"
 )
 
@@ -81,10 +82,10 @@ func vecScratch[T any](m *Machine, n int, zero bool) []T {
 	ar.mu.Unlock()
 	if c := m.obsC; c != nil {
 		if hit {
-			c.ArenaHits.Add(1)
-			c.BytesRecycled.Add(int64(n) * int64(elem))
+			c.Add(obs.ArenaHits, 1)
+			c.Add(obs.BytesRecycled, int64(n)*int64(elem))
 		} else {
-			c.ArenaMisses.Add(1)
+			c.Add(obs.ArenaMisses, 1)
 		}
 	}
 	if hit && zero {

@@ -28,15 +28,15 @@ func TestVecArenaHitMissCounters(t *testing.T) {
 	NewVec(m, func(p int) float64 { return float64(p) }).Free()
 	NewVec[float64](m, nil)               // hit: 8 floats recycled
 	NewVec(m, func(int) int { return 0 }) // miss: no int slice retained
-	s := o.Snapshot()["hypercube"]
-	if s.ArenaHits != 1 {
-		t.Fatalf("ArenaHits = %d, want 1", s.ArenaHits)
+	s := o.Site("hypercube")
+	if s.Load(obs.ArenaHits) != 1 {
+		t.Fatalf("ArenaHits = %d, want 1", s.Load(obs.ArenaHits))
 	}
-	if s.ArenaMisses < 1 {
-		t.Fatalf("ArenaMisses = %d, want >= 1", s.ArenaMisses)
+	if s.Load(obs.ArenaMisses) < 1 {
+		t.Fatalf("ArenaMisses = %d, want >= 1", s.Load(obs.ArenaMisses))
 	}
-	if want := int64(8 * 8); s.BytesRecycled != want {
-		t.Fatalf("BytesRecycled = %d, want %d", s.BytesRecycled, want)
+	if want := int64(8 * 8); s.Load(obs.BytesRecycled) != want {
+		t.Fatalf("BytesRecycled = %d, want %d", s.Load(obs.BytesRecycled), want)
 	}
 }
 
@@ -47,8 +47,8 @@ func TestVecArenaResetReleases(t *testing.T) {
 	o := obs.NewObserver()
 	m.SetObserver(o)
 	NewVec[int](m, nil)
-	if s := o.Snapshot()["hypercube"]; s.ArenaHits != 0 {
-		t.Fatalf("arena survived Reset: %d hits", s.ArenaHits)
+	if s := o.Site("hypercube"); s.Load(obs.ArenaHits) != 0 {
+		t.Fatalf("arena survived Reset: %d hits", s.Load(obs.ArenaHits))
 	}
 }
 

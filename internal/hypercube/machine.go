@@ -95,12 +95,10 @@ type Machine struct {
 	hasAlign bool
 
 	// pool executes the per-processor loops of every step; ownPool marks a
-	// private pool installed by SetWorkers, which Reset shuts down. sink,
-	// when non-nil, receives one instrumentation record per charged step.
-	// Child machines created by Subcubes and ParallelDo inherit both.
+	// private pool installed by SetWorkers, which Reset shuts down. Child
+	// machines created by Subcubes and ParallelDo inherit the pool.
 	pool    *exec.Pool
 	ownPool bool
-	sink    exec.Sink
 	// obsC and tracer are the observability handles (nil when the layer
 	// is off): obsC is the counter site named after the network kind,
 	// tracer records one wall-clock span per charged step. Captured from
@@ -123,14 +121,14 @@ type Machine struct {
 
 // New returns a machine of the given kind with 2^d processors, running on
 // the shared exec.Default worker pool and attached to the process-wide
-// instrumentation sink if one is installed.
+// observer (obs.Global) if one is installed.
 func New(kind Kind, d int) *Machine {
 	if d < 0 {
 		merr.Throwf(merr.ErrDimensionMismatch, "hypercube: negative dimension %d", d)
 	}
 	m := &Machine{
 		kind: kind, d: d, n: 1 << d,
-		pool: exec.Default(), sink: exec.GlobalSink(), faults: faults.Global(),
+		pool: exec.Default(), faults: faults.Global(),
 		arena: newVecArena(),
 	}
 	if o := obs.Global(); o != nil {
@@ -141,8 +139,8 @@ func New(kind Kind, d int) *Machine {
 }
 
 // child returns a machine for a recursive subproblem: the given kind and
-// dimension with the parent's pool and sink, keeping recursion on the
-// persistent runtime and in the trace. The shell is recycled from the
+// dimension with the parent's pool and observer handles, keeping
+// recursion on the persistent runtime and in the trace. The shell is recycled from the
 // parent's arena when possible; Subcubes/ParallelDo return it via
 // releaseChild once the branch accounting is harvested.
 func (m *Machine) child(kind Kind, d int) *Machine {
@@ -153,7 +151,6 @@ func (m *Machine) child(kind Kind, d int) *Machine {
 			sub.time, sub.comm, sub.local, sub.stepID = 0, 0, 0, 0
 			sub.align, sub.hasAlign = 0, false
 			sub.pool, sub.ownPool = m.pool, false
-			sub.sink = m.sink
 			sub.obsC, sub.tracer = m.obsC, m.tracer
 			sub.ctx, sub.faults = m.ctx, m.faults
 			sub.arena = ar
@@ -162,7 +159,6 @@ func (m *Machine) child(kind Kind, d int) *Machine {
 	}
 	sub := New(kind, d)
 	sub.pool = m.pool
-	sub.sink = m.sink
 	sub.obsC = m.obsC
 	sub.tracer = m.tracer
 	sub.ctx = m.ctx
@@ -194,10 +190,6 @@ func (m *Machine) SetWorkers(w int) {
 
 // Workers returns the worker count of the machine's pool.
 func (m *Machine) Workers() int { return m.pool.Workers() }
-
-// SetSink attaches an instrumentation sink receiving one record per
-// charged step (nil detaches). Subcubes and ParallelDo children inherit it.
-func (m *Machine) SetSink(s exec.Sink) { m.sink = s }
 
 // SetObserver attaches the machine to an observability layer: the
 // counter site named after its network kind and, if tracing is enabled
@@ -268,9 +260,7 @@ func (m *Machine) dispatch(n int, body func(p int)) int {
 		}
 		m.time += res.Stalls
 		m.local += int64(size) * res.Stalls
-		if c := m.obsC; c != nil {
-			c.FaultStalls.Add(res.Stalls)
-		}
+		m.obsC.Add(obs.FaultStalls, res.Stalls)
 	}
 	return res.Chunks
 }
@@ -302,24 +292,16 @@ func (m *Machine) linkFaultCharge() {
 	m.comm += extra
 	m.time += faults.BackoffTime(maxRetry)
 	if c := m.obsC; c != nil && extra > 0 {
-		c.FaultDrops.Add(dropsTot)
-		c.FaultGarbles.Add(garblesTot)
+		c.Add(obs.FaultDrops, dropsTot)
+		c.Add(obs.FaultGarbles, garblesTot)
 		// Retransmissions are extra traffic on the same links.
-		c.LinkMessages.Add(extra)
-		c.LinkBytes.Add(extra * obs.WordBytes)
-	}
-}
-
-// record emits one instrumentation record if a sink is attached.
-func (m *Machine) record(op string, n, cost, chunks int) {
-	if m.sink != nil {
-		m.sink.Record(exec.StepStats{Model: m.kind.String(), Op: op, N: n, Cost: cost, Chunks: chunks})
+		c.Add(obs.LinkMessages, extra)
+		c.Add(obs.LinkBytes, extra*obs.WordBytes)
 	}
 }
 
 // beginStep snapshots the charged counters and opens a wall-clock span
-// for one charged step; finishStep closes both and emits the sink
-// record. Every charge between the two calls — emulation rotations,
+// for one charged step; finishStep folds both into the observer. Every charge between the two calls — emulation rotations,
 // stall recoveries, timeout re-runs, link backoff — lands in the step's
 // ChargedTime/ChargedWork delta.
 func (m *Machine) beginStep() (timeBefore, workBefore int64, spanStart time.Time) {
@@ -331,15 +313,14 @@ func (m *Machine) beginStep() (timeBefore, workBefore int64, spanStart time.Time
 
 func (m *Machine) finishStep(op string, n, cost, chunks int, timeBefore, workBefore int64, spanStart time.Time) {
 	if c := m.obsC; c != nil {
-		c.Supersteps.Add(1)
-		c.ChargedTime.Add(m.time - timeBefore)
-		c.ChargedWork.Add(m.local - workBefore)
-		c.PoolChunks.Add(int64(chunks))
+		c.Add(obs.Supersteps, 1)
+		c.Add(obs.ChargedTime, m.time-timeBefore)
+		c.Add(obs.ChargedWork, m.local-workBefore)
+		c.Add(obs.PoolChunks, int64(chunks))
 	}
 	if m.tracer != nil {
 		m.tracer.End(m.kind.String(), op, spanStart, n, cost, chunks)
 	}
-	m.record(op, n, cost, chunks)
 }
 
 // NewCube returns a hypercube with 2^d processors.
@@ -394,9 +375,7 @@ func (m *Machine) Local(cost int, body func(p int)) {
 	if t := m.faults.StepTimeouts(m.stepID); t > 0 {
 		m.time += int64(t) * int64(cost)
 		m.local += int64(t) * int64(cost) * int64(m.n)
-		if c := m.obsC; c != nil {
-			c.FaultTimeouts.Add(int64(t))
-		}
+		m.obsC.Add(obs.FaultTimeouts, int64(t))
 	}
 	m.finishStep("local", m.n, cost, chunks, timeBefore, workBefore, spanStart)
 }
@@ -434,8 +413,8 @@ func (m *Machine) exchangeCharge(dim int) {
 	}
 	m.comm += int64(m.n)
 	if c := m.obsC; c != nil {
-		c.LinkMessages.Add(int64(m.n))
-		c.LinkBytes.Add(int64(m.n) * obs.WordBytes)
+		c.Add(obs.LinkMessages, int64(m.n))
+		c.Add(obs.LinkBytes, int64(m.n)*obs.WordBytes)
 	}
 	m.linkFaultCharge()
 }

@@ -200,9 +200,7 @@ func TubeMaxima(ctx context.Context, pool *exec.Pool, c marray.Composite) ([][]i
 		}
 	}
 	ct := counters()
-	if ct != nil {
-		ct.Searches.Add(1)
-	}
+	ct.Add(obs.Searches, 1)
 	if pool == nil {
 		pool = exec.Default()
 	}
@@ -229,9 +227,7 @@ func TubeMaxima(ctx context.Context, pool *exec.Pool, c marray.Composite) ([][]i
 // worker — and folds the dispatch shape into the "native" obs site.
 func runRows(ctx context.Context, pool *exec.Pool, a marray.Matrix, m, n int, stair bool, solve func(lo, hi int), out []int) {
 	ct := counters()
-	if ct != nil {
-		ct.Searches.Add(1)
-	}
+	ct.Add(obs.Searches, 1)
 	if pool == nil {
 		pool = exec.Default()
 	}
@@ -322,9 +318,9 @@ func countRun(ct *obs.Counters, res exec.RunResult) {
 	if ct == nil {
 		return
 	}
-	ct.PoolLoops.Add(1)
-	ct.PoolChunks.Add(int64(res.Chunks))
+	ct.Add(obs.PoolLoops, 1)
+	ct.Add(obs.PoolChunks, int64(res.Chunks))
 	if res.Chunks == 1 {
-		ct.PoolInline.Add(1)
+		ct.Add(obs.PoolInline, 1)
 	}
 }

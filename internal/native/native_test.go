@@ -226,12 +226,12 @@ func TestNativeObsCounters(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	native.RowMinima(nil, pool, marray.RandomMonge(rng, 1024, 32))
 	c := o.Site("native")
-	if c.Searches.Load() != 1 {
-		t.Fatalf("Searches = %d, want 1", c.Searches.Load())
+	if c.Load(obs.Searches) != 1 {
+		t.Fatalf("Searches = %d, want 1", c.Load(obs.Searches))
 	}
-	if c.PoolLoops.Load() != 1 || c.PoolChunks.Load() < 2 {
+	if c.Load(obs.PoolLoops) != 1 || c.Load(obs.PoolChunks) < 2 {
 		t.Fatalf("PoolLoops = %d, PoolChunks = %d; want one fan-out loop of several chunks",
-			c.PoolLoops.Load(), c.PoolChunks.Load())
+			c.Load(obs.PoolLoops), c.Load(obs.PoolChunks))
 	}
 }
 
@@ -262,12 +262,12 @@ func TestNativeHugeAspectChunks(t *testing.T) {
 		}
 	}
 	c := o.Site("native")
-	if c.PoolChunks.Load() < workers {
+	if c.Load(obs.PoolChunks) < workers {
 		t.Fatalf("1x%d query ran as %d chunks; want >= %d so no worker idles",
-			flat.Cols(), c.PoolChunks.Load(), workers)
+			flat.Cols(), c.Load(obs.PoolChunks), workers)
 	}
 
-	chunksBefore := c.PoolChunks.Load()
+	chunksBefore := c.Load(obs.PoolChunks)
 	tall := marray.RandomMonge(rng, 1<<16, 1)
 	got = native.RowMinima(nil, pool, tall)
 	want = smawk.RowMinima(tall)
@@ -276,7 +276,7 @@ func TestNativeHugeAspectChunks(t *testing.T) {
 			t.Fatalf("tall row %d: native %d, smawk %d", i, got[i], want[i])
 		}
 	}
-	if delta := c.PoolChunks.Load() - chunksBefore; delta < workers {
+	if delta := c.Load(obs.PoolChunks) - chunksBefore; delta < workers {
 		t.Fatalf("%dx1 query ran as %d chunks; want >= %d", tall.Rows(), delta, workers)
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"unsafe"
+
+	"monge/internal/obs"
 )
 
 // arrayArena recycles Array storage between supersteps and between
@@ -77,9 +79,7 @@ func checkoutArray[T any](m *Machine, n int) *Array[T] {
 	l, ok := ar.lists[key]
 	if !ok {
 		ar.mu.Unlock()
-		if c := m.obsC; c != nil {
-			c.ArenaMisses.Add(1)
-		}
+		m.obsC.Add(obs.ArenaMisses, 1)
 		return nil
 	}
 	fl := l.(*freeArrays[T])
@@ -96,9 +96,7 @@ func checkoutArray[T any](m *Machine, n int) *Array[T] {
 	}
 	ar.mu.Unlock()
 	if got == nil {
-		if c := m.obsC; c != nil {
-			c.ArenaMisses.Add(1)
-		}
+		m.obsC.Add(obs.ArenaMisses, 1)
 		return nil
 	}
 	got.m = m
@@ -110,8 +108,8 @@ func checkoutArray[T any](m *Machine, n int) *Array[T] {
 	clear(got.owner)
 	got.dirty = 0
 	if c := m.obsC; c != nil {
-		c.ArenaHits.Add(1)
-		c.BytesRecycled.Add(int64(n) * int64(unsafe.Sizeof(*new(T))+12))
+		c.Add(obs.ArenaHits, 1)
+		c.Add(obs.BytesRecycled, int64(n)*int64(unsafe.Sizeof(*new(T))+12))
 	}
 	return got
 }

@@ -38,16 +38,16 @@ func TestArenaHitMissCounters(t *testing.T) {
 	b := NewArray[float64](m, 16) // hit
 	c := NewArray[float64](m, 64) // miss: nothing retained that large
 	_, _ = b, c
-	s := o.Snapshot()["pram"]
-	if s.ArenaHits != 1 {
-		t.Fatalf("ArenaHits = %d, want 1", s.ArenaHits)
+	s := o.Site("pram")
+	if s.Load(obs.ArenaHits) != 1 {
+		t.Fatalf("ArenaHits = %d, want 1", s.Load(obs.ArenaHits))
 	}
-	if s.ArenaMisses < 1 {
-		t.Fatalf("ArenaMisses = %d, want >= 1", s.ArenaMisses)
+	if s.Load(obs.ArenaMisses) < 1 {
+		t.Fatalf("ArenaMisses = %d, want >= 1", s.Load(obs.ArenaMisses))
 	}
 	// 16 floats + 16 stamps (int64) + 16 owners (int32) = 16*(8+8+4).
-	if want := int64(16 * 20); s.BytesRecycled != want {
-		t.Fatalf("BytesRecycled = %d, want %d", s.BytesRecycled, want)
+	if want := int64(16 * 20); s.Load(obs.BytesRecycled) != want {
+		t.Fatalf("BytesRecycled = %d, want %d", s.Load(obs.BytesRecycled), want)
 	}
 }
 
@@ -58,8 +58,8 @@ func TestArenaResetReleases(t *testing.T) {
 	o := obs.NewObserver()
 	m.SetObserver(o)
 	NewArray[int](m, 32)
-	if s := o.Snapshot()["pram"]; s.ArenaHits != 0 {
-		t.Fatalf("arena survived Reset: %d hits", s.ArenaHits)
+	if s := o.Site("pram"); s.Load(obs.ArenaHits) != 0 {
+		t.Fatalf("arena survived Reset: %d hits", s.Load(obs.ArenaHits))
 	}
 }
 

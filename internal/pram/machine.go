@@ -39,7 +39,7 @@
 // step/time/work counters, not wall-clock speed. The pool's deterministic
 // chunking guarantees identical outputs and charged costs for any worker
 // count; child machines created by ParallelDo inherit the parent's pool
-// and instrumentation sink.
+// and observability handles.
 package pram
 
 import (
@@ -112,9 +112,6 @@ type Machine struct {
 	// shared exec.Default pool is left running for other machines).
 	pool    *exec.Pool
 	ownPool bool
-	// sink, when non-nil, receives one instrumentation record per charged
-	// superstep. Child machines inherit it.
-	sink exec.Sink
 	// obsC and tracer are the machine's observability handles (nil when
 	// the layer is off): obsC is the "pram" counter site, tracer records
 	// one wall-clock span per charged superstep. Captured from the
@@ -164,14 +161,14 @@ func (m *Machine) markDirty(f flusher) {
 // The processor count only affects the time accounting (Brent scheduling);
 // the simulation runs on the shared exec.Default worker pool (sized by
 // GOMAXPROCS) unless SetWorkers installs a private one, and attaches the
-// process-wide instrumentation sink if one is installed.
+// process-wide observer (obs.Global) if one is installed.
 func New(mode Mode, procs int) *Machine {
 	if procs < 1 {
 		procs = 1
 	}
 	m := &Machine{
 		mode: mode, procs: procs,
-		pool: exec.Default(), sink: exec.GlobalSink(), faults: faults.Global(),
+		pool: exec.Default(), faults: faults.Global(),
 		arena: newArrayArena(),
 	}
 	if o := obs.Global(); o != nil {
@@ -182,8 +179,8 @@ func New(mode Mode, procs int) *Machine {
 }
 
 // child returns a machine for a ParallelDo branch: same mode, the given
-// declared processor count, and — crucially — the parent's pool and sink,
-// so recursive subproblems stay on the persistent runtime and remain
+// declared processor count, and — crucially — the parent's pool and observer
+// handles, so recursive subproblems stay on the persistent runtime and remain
 // traced end-to-end instead of silently falling back to a default. The
 // shell is recycled from the parent's arena when possible; ParallelDo
 // returns it via releaseChild once the branch and its accounting are
@@ -198,7 +195,6 @@ func (m *Machine) child(procs int) *Machine {
 			sub.procs = procs
 			sub.time, sub.steps, sub.work, sub.stepID = 0, 0, 0, 0
 			sub.pool, sub.ownPool = m.pool, false
-			sub.sink = m.sink
 			sub.obsC, sub.tracer = m.obsC, m.tracer
 			sub.ctx, sub.faults = m.ctx, m.faults
 			sub.arena = ar
@@ -208,7 +204,6 @@ func (m *Machine) child(procs int) *Machine {
 	}
 	sub := New(m.mode, procs)
 	sub.pool = m.pool
-	sub.sink = m.sink
 	sub.obsC = m.obsC
 	sub.tracer = m.tracer
 	sub.ctx = m.ctx
@@ -241,10 +236,6 @@ func (m *Machine) SetWorkers(w int) {
 
 // Workers returns the worker count of the machine's pool.
 func (m *Machine) Workers() int { return m.pool.Workers() }
-
-// SetSink attaches an instrumentation sink receiving one record per
-// charged superstep (nil detaches). ParallelDo children inherit it.
-func (m *Machine) SetSink(s exec.Sink) { m.sink = s }
 
 // SetObserver attaches the machine to an observability layer: its "pram"
 // counter site and, if tracing is enabled on o, its span tracer (nil
@@ -394,9 +385,7 @@ func (m *Machine) StepCost(n, cost int, body func(id int)) {
 			if t := m.faults.StepTimeouts(m.stepID); t > 0 {
 				m.time += int64(t) * base
 				m.work += int64(t) * int64(cost) * int64(n)
-				if c := m.obsC; c != nil {
-					c.FaultTimeouts.Add(int64(t))
-				}
+				m.obsC.Add(obs.FaultTimeouts, int64(t))
 			}
 		}
 	}
@@ -412,24 +401,18 @@ func (m *Machine) StepCost(n, cost int, body func(id int)) {
 	m.dirty = m.dirty[:0]
 
 	if c := m.obsC; c != nil {
-		c.Supersteps.Add(1)
-		c.ChargedTime.Add(m.time - timeBefore)
-		c.ChargedWork.Add(m.work - workBefore)
-		c.SharedWrites.Add(int64(writes))
-		c.PoolChunks.Add(int64(chunks))
+		c.Add(obs.Supersteps, 1)
+		c.Add(obs.ChargedTime, m.time-timeBefore)
+		c.Add(obs.ChargedWork, m.work-workBefore)
+		c.Add(obs.SharedWrites, int64(writes))
+		c.StoreMax(obs.WriteShardPeak, int64(maxShard))
+		c.Add(obs.PoolChunks, int64(chunks))
 		if stalls > 0 {
-			c.FaultStalls.Add(stalls)
+			c.Add(obs.FaultStalls, stalls)
 		}
 	}
 	if m.tracer != nil {
 		m.tracer.End("pram", "step", spanStart, n, cost, chunks)
-	}
-	if m.sink != nil {
-		m.sink.Record(exec.StepStats{
-			Model: "pram", Op: "step",
-			N: n, Cost: cost, Chunks: chunks,
-			Writes: writes, MaxShard: maxShard,
-		})
 	}
 }
 
@@ -501,9 +484,7 @@ func (a *Array[T]) Len() int { return len(a.vals) }
 // attached the read is counted as one shared-memory access; the disabled
 // path is a single nil check on a cached field.
 func (a *Array[T]) Read(i int) T {
-	if c := a.m.obsC; c != nil {
-		c.SharedReads.Add(1)
-	}
+	a.m.obsC.Add(obs.SharedReads, 1)
 	return a.vals[i]
 }
 
@@ -573,20 +554,14 @@ func (a *Array[T]) flush(m *Machine) (writes, maxShard int) {
 				// Later write by the same processor wins (program order
 				// within one processor is preserved by the shard slice).
 				a.vals[r.idx] = r.val
-				if c := m.obsC; c != nil {
-					c.ConflictsSamePid.Add(1)
-				}
+				m.obsC.Add(obs.ConflictsSamePid, 1)
 			case m.mode == CREW:
-				if c := m.obsC; c != nil {
-					c.ConflictsCREW.Add(1)
-				}
+				m.obsC.Add(obs.ConflictsCREW, 1)
 				merr.Throw(&ConflictError{Index: r.idx, Pid1: cur, Pid2: r.pid})
 			default:
 				// Priority CRCW: the resolution between distinct writers is
 				// counted whichever pid wins the cell.
-				if c := m.obsC; c != nil {
-					c.ConflictsPriority.Add(1)
-				}
+				m.obsC.Add(obs.ConflictsPriority, 1)
 				if r.pid < cur {
 					// Lowest pid wins.
 					a.owner[r.idx] = int32(r.pid)

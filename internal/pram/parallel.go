@@ -14,7 +14,7 @@ package pram
 // both CREW and CRCW). Branches are executed sequentially in real time,
 // which keeps the simulation deterministic; only the accounting is
 // parallel. Child machines are created through the runtime (child), which
-// hands them the parent's worker pool and instrumentation sink, so
+// hands them the parent's worker pool and observability handles, so
 // recursive subproblems can neither fall back to a default pool nor
 // disappear from the trace.
 func (m *Machine) ParallelDo(procs []int, body func(b int, sub *Machine)) {

@@ -310,23 +310,23 @@ func TestQueueDepthAccounting(t *testing.T) {
 	p.Wait()
 	p.Close()
 
-	snap := o.Snapshot()["serve"]
-	if snap.QueueDepthPeak < 2 {
+	snap := o.Site("serve")
+	if peak := snap.Load(obs.QueueDepthPeak); peak < 2 {
 		t.Fatalf("queue depth peak %d after a 6-deep burst, want >= 2 (pre-send sampling regression)",
-			snap.QueueDepthPeak)
+			peak)
 	}
-	if snap.QueueDepth != 0 {
-		t.Fatalf("queue depth gauge %d after drain, want 0", snap.QueueDepth)
+	if depth := snap.Load(obs.QueueDepth); depth != 0 {
+		t.Fatalf("queue depth gauge %d after drain, want 0", depth)
 	}
 	var waits int64
-	for _, b := range snap.QueueWaitUS {
+	for _, b := range snap.QueueWait.Snapshot() {
 		waits += b
 	}
 	if waits < 6 {
 		t.Fatalf("queue-wait histogram recorded %d waits, want >= 6", waits)
 	}
-	if snap.QueueWaitP50 < 0 || snap.QueueWaitP99 < snap.QueueWaitP50 {
-		t.Fatalf("queue-wait percentiles inconsistent: p50=%d p99=%d", snap.QueueWaitP50, snap.QueueWaitP99)
+	if p50, p99 := snap.QueueWait.Quantile(0.50), snap.QueueWait.Quantile(0.99); p50 < 0 || p99 < p50 {
+		t.Fatalf("queue-wait percentiles inconsistent: p50=%v p99=%v", p50, p99)
 	}
 }
 

@@ -433,8 +433,8 @@ func (p *Pool) submit(ctx context.Context, q Query, wait bool) (*Ticket, error) 
 		// pre-send sample systematically under-reported the peak under
 		// contention (every concurrent submitter read the same length).
 		depth := int64(len(p.queue))
-		obs.StoreMax(&p.obsC.QueueDepthPeak, depth)
-		p.obsC.QueueDepth.Store(depth)
+		p.obsC.StoreMax(obs.QueueDepthPeak, depth)
+		p.obsC.Store(obs.QueueDepth, depth)
 	}
 	return t, nil
 }
@@ -489,8 +489,7 @@ func (p *Pool) Close() {
 	if !already {
 		p.state.Store(2)
 		if p.obsC != nil {
-			st := p.Stats()
-			p.obsC.ShardImbalance.Store(st.Imbalance)
+			p.obsC.Store(obs.ShardImbalance, p.Stats().Imbalance)
 		}
 	}
 }
@@ -570,7 +569,7 @@ func (p *Pool) worker(id int) {
 	eng := minplus.NewWith(d)
 	for t := range p.queue {
 		if p.obsC != nil {
-			p.obsC.QueueDepth.Store(int64(len(p.queue)))
+			p.obsC.Store(obs.QueueDepth, int64(len(p.queue)))
 			if !t.enq.IsZero() {
 				p.obsC.QueueWait.Observe(time.Since(t.enq))
 			}
@@ -582,9 +581,7 @@ func (p *Pool) worker(id int) {
 		}
 		t.res = p.resolve(d, eng, t)
 		p.served[id].add(1)
-		if p.obsC != nil {
-			p.obsC.QueriesServed.Add(1)
-		}
+		p.obsC.Add(obs.QueriesServed, 1)
 		close(t.done)
 		p.inflight.Done()
 	}
@@ -600,9 +597,7 @@ func (p *Pool) resolve(d *batch.Driver, eng *minplus.Engine, t *Ticket) Result {
 		return answer(d, eng, t.q)
 	}
 	if t.ctx.Err() != nil {
-		if p.obsC != nil {
-			p.obsC.DeadlineExpired.Add(1)
-		}
+		p.obsC.Add(obs.DeadlineExpired, 1)
 		return Result{Err: ctxError(t.ctx)}
 	}
 	runCtx, release := t.ctx, func() {}
