@@ -5,23 +5,12 @@
 // Usage:
 //
 //	mongebench [-exp all|t11|t12|t13|fig11|app1|app2|app3|app4] [-maxn 2048] [-seed 1]
-//	           [-batch N] [-serve] [-workers W] [-qps Q] [-queries N]
 //	           [-timeout 30s] [-faults 0.05] [-fault-seed 1]
 //	           [-metrics] [-trace-out trace.json] [-profile cpu.pprof]
 //
-// With -batch N, the command runs N same-shape queries per ladder size
-// through the batched query driver (internal/batch) instead of the -exp
-// experiments: one retained machine per shape class answers the whole
-// batch, and each row reports the amortized per-query wall time next to
-// the fresh-machine-per-query baseline with an index-exactness check.
-//
-// With -serve, the command drives a synthetic mix of row-minima,
-// staircase, and tube queries through the concurrent driver pool
-// (internal/serve): -workers shards, optionally throttled to -qps
-// submissions per second, -queries total. It reports achieved
-// queries/sec and the per-shard query split and imbalance, and checks
-// every answer index-for-index against the sequential facade. -faults and -timeout compose with it like with
-// every other experiment.
+// The command is the paper reproduction only: Tables 1.1–1.3, Figure
+// 1.1 and the four applications. Serving load (throughput, open-loop
+// latency, rejection) is measured by the separate perfbench module.
 //
 // Each row reports the charged time of the simulated machine at a ladder
 // of sizes plus the "shape ratio" time/bound(n), which should stay roughly
@@ -60,7 +49,6 @@ import (
 	"runtime/pprof"
 	"time"
 
-	"monge/internal/batch"
 	"monge/internal/core"
 	"monge/internal/faults"
 	"monge/internal/geom"
@@ -71,8 +59,6 @@ import (
 	"monge/internal/obs"
 	"monge/internal/pram"
 	"monge/internal/rect"
-	"monge/internal/serve"
-	"monge/internal/smawk"
 	"monge/internal/stredit"
 )
 
@@ -84,15 +70,6 @@ var (
 	expFlag   string
 	maxN      int
 	seed      int64
-	batchN    int
-	serveOn   bool
-	openLoop  bool
-	latOut    string
-	backendF  string
-	backendBE batch.Backend
-	workersN  int
-	qpsLimit  float64
-	queriesN  int
 	timeout   time.Duration
 	faultRate float64
 	faultSeed int64
@@ -145,14 +122,6 @@ func mainImpl(args []string, stdout, stderr io.Writer) (code int) {
 	fs.StringVar(&expFlag, "exp", "all", "experiment: all, t11, t12, t13, fig11, app1, app2, app3, app4")
 	fs.IntVar(&maxN, "maxn", 2048, "largest problem size in the ladder")
 	fs.Int64Var(&seed, "seed", 1, "workload seed")
-	fs.IntVar(&batchN, "batch", 0, "run N same-shape queries per ladder size through the batched driver (internal/batch) instead of the -exp experiments, comparing amortized cost against fresh machines")
-	fs.BoolVar(&serveOn, "serve", false, "drive a synthetic query mix through the concurrent driver pool (internal/serve) instead of the -exp experiments, reporting throughput and shard balance")
-	fs.BoolVar(&openLoop, "openloop", false, "with -serve: open-loop latency mode — fire queries at fixed -qps rungs (0.5x, 1x, 2x) regardless of completions, through the admission front, reporting p50/p95/p99 latency and rejection rate per rung")
-	fs.StringVar(&latOut, "latency-out", "", "with -openloop: write the latency ladder as JSON (schema monge-latency/v1) to this file (\"-\" for stdout)")
-	fs.StringVar(&backendF, "backend", "pram", "execution backend for -serve and -batch: pram (simulated machines) or native (direct goroutine kernels)")
-	fs.IntVar(&workersN, "workers", 0, "driver-pool worker count for -serve (0 = GOMAXPROCS)")
-	fs.Float64Var(&qpsLimit, "qps", 0, "throttle -serve submissions to this many queries per second (0 = unthrottled)")
-	fs.IntVar(&queriesN, "queries", 256, "total queries submitted by -serve")
 	fs.DurationVar(&timeout, "timeout", 0, "cancel the run after this duration (0 = no deadline)")
 	fs.Float64Var(&faultRate, "faults", 0, "per-unit fault injection rate in (0, 0.9]; 0 disables injection")
 	fs.Int64Var(&faultSeed, "fault-seed", 1, "seed of the deterministic fault schedule")
@@ -160,31 +129,6 @@ func mainImpl(args []string, stdout, stderr io.Writer) (code int) {
 	fs.StringVar(&traceOut, "trace-out", "", "record per-superstep spans and write them in Chrome trace_event format to this file")
 	fs.StringVar(&profile, "profile", "", "write a CPU profile of the run to this file (runtime/pprof)")
 	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	switch backendF {
-	case "pram":
-		backendBE = batch.BackendPRAM
-	case "native":
-		backendBE = batch.BackendNative
-	default:
-		fmt.Fprintf(stderr, "mongebench: unknown -backend %q (want pram or native)\n", backendF)
-		return 2
-	}
-	if qpsLimit < 0 {
-		fmt.Fprintf(stderr, "mongebench: -qps %g is negative; pass a positive rate (or 0 for unthrottled closed-loop -serve)\n", qpsLimit)
-		return 2
-	}
-	if openLoop && !serveOn {
-		fmt.Fprintln(stderr, "mongebench: -openloop requires -serve (it drives the serving pool's admission front)")
-		return 2
-	}
-	if openLoop && qpsLimit <= 0 {
-		fmt.Fprintln(stderr, "mongebench: -openloop requires -qps > 0 (the base arrival rate of the 0.5x/1x/2x ladder)")
-		return 2
-	}
-	if latOut != "" && !openLoop {
-		fmt.Fprintln(stderr, "mongebench: -latency-out requires -openloop (it records the open-loop latency ladder)")
 		return 2
 	}
 
@@ -244,34 +188,14 @@ func mainImpl(args []string, stdout, stderr io.Writer) (code int) {
 			failed = true
 		}
 	}
-	if openLoop {
-		matched = true
-		if err := runExperiment(openLoopExp); err != nil {
-			fmt.Fprintf(errw, "\nopen-loop experiment aborted: %v\n", err)
-			failed = true
-		}
-	} else if serveOn {
-		matched = true
-		if err := runExperiment(serveExp); err != nil {
-			fmt.Fprintf(errw, "\nserve experiment aborted: %v\n", err)
-			failed = true
-		}
-	} else if batchN > 0 {
-		matched = true
-		if err := runExperiment(func() { batchExp(batchN) }); err != nil {
-			fmt.Fprintf(errw, "\nbatch experiment aborted: %v\n", err)
-			failed = true
-		}
-	} else {
-		run("t11", table11)
-		run("t12", table12)
-		run("t13", table13)
-		run("fig11", figure11)
-		run("app1", app1)
-		run("app2", app2)
-		run("app3", app3)
-		run("app4", app4)
-	}
+	run("t11", table11)
+	run("t12", table12)
+	run("t13", table13)
+	run("fig11", figure11)
+	run("app1", app1)
+	run("app2", app2)
+	run("app3", app3)
+	run("app4", app4)
 	if failed {
 		return 1
 	}
@@ -283,10 +207,6 @@ func mainImpl(args []string, stdout, stderr io.Writer) (code int) {
 		s := injector.Stats()
 		printf("\ninjected faults recovered: %d stalls, %d drops, %d garbles, %d timeouts\n",
 			s.Stalls, s.Drops, s.Garbles, s.Timeouts)
-		if s.QueueStalls+s.TicketDrops+s.SlowShards > 0 {
-			printf("injected serving faults absorbed: %d queue stalls, %d ticket drops, %d slow shards\n",
-				s.QueueStalls, s.TicketDrops, s.SlowShards)
-		}
 	}
 	if observer != nil {
 		if metricsOn {
@@ -581,180 +501,6 @@ func app4() {
 		}
 		printf("%8d  dist %6.0f  hypercube time %8d (t/lg^2 %6.1f)  %s\n",
 			n, d, rep.Time, float64(rep.Time)/(lg(n)*lg(n)), match)
-	}
-}
-
-// batchExp exercises the batched query driver end to end: k row-minima
-// queries (and, at small sizes, k tube-maxima queries) per ladder size
-// run through one retained machine per shape class, timed against the
-// fresh-machine-per-query path and checked index-for-index against it.
-func batchExp(k int) {
-	rng := rand.New(rand.NewSource(seed))
-	d := batch.NewWithBackend(pram.CRCW, backendBE)
-	if benchCtx != nil {
-		d.SetContext(benchCtx)
-	}
-	defer d.Close()
-
-	printf("\n== Batched row minima: %d queries per size, one machine per shape class (%s backend) ==\n", k, backendBE)
-	printf("%8s %14s %14s %9s %8s\n", "n", "batch/query", "fresh/query", "speedup", "match")
-	for _, n := range sizes(maxN) {
-		arrays := make([]marray.Matrix, k)
-		for i := range arrays {
-			arrays[i] = marray.RandomMonge(rng, n, n)
-		}
-		start := time.Now()
-		got := d.RowMinimaBatch(arrays)
-		batchT := time.Since(start)
-		match := "ok"
-		start = time.Now()
-		for i, a := range arrays {
-			want := core.RowMinima(newPRAM(pram.CRCW, n), a)
-			for r := range want {
-				if got[i][r] != want[r] {
-					match = "MISMATCH"
-				}
-			}
-		}
-		freshT := time.Since(start)
-		printf("%8d %14v %14v %8.1fx %8s\n", n, batchT/time.Duration(k), freshT/time.Duration(k),
-			float64(freshT)/float64(batchT), match)
-	}
-
-	printf("\n== Batched tube maxima: %d queries per size ==\n", k)
-	printf("%8s %14s %14s %9s %8s\n", "n", "batch/query", "fresh/query", "speedup", "match")
-	for _, n := range sizes(min(maxN, 128)) {
-		comps := make([]marray.Composite, k)
-		for i := range comps {
-			comps[i] = marray.RandomComposite(rng, n, n, n)
-		}
-		start := time.Now()
-		gotJ, _ := d.TubeMaximaBatch(comps)
-		batchT := time.Since(start)
-		match := "ok"
-		start = time.Now()
-		for i, c := range comps {
-			wantJ, _ := core.TubeMaxima(newPRAM(pram.CRCW, 2*n*n), c)
-			for x := range wantJ {
-				for kk := range wantJ[x] {
-					if gotJ[i][x][kk] != wantJ[x][kk] {
-						match = "MISMATCH"
-					}
-				}
-			}
-		}
-		freshT := time.Since(start)
-		printf("%8d %14v %14v %8.1fx %8s\n", n, batchT/time.Duration(k), freshT/time.Duration(k),
-			float64(freshT)/float64(batchT), match)
-	}
-}
-
-// serveExp drives the concurrent driver pool (internal/serve) with a
-// synthetic mix of row-minima, staircase, and tube queries, optionally
-// throttled to -qps, and reports achieved throughput and shard balance.
-// Every answer is checked index-for-index
-// against the sequential facade computed up front — concurrency must
-// never change an answer. The -faults and -timeout flags pass through:
-// machines inside the pool attach the process-global injector and the
-// run's context like every other experiment.
-func serveExp() {
-	rng := rand.New(rand.NewSource(seed))
-	n := min(maxN, 512)
-	tubeN := min(n, 24)
-
-	// A small rotating set of distinct inputs, implicit-backed like the
-	// serving workloads.
-	type prep struct {
-		q    serve.Query
-		idx  []int
-		tubJ [][]int
-	}
-	var mix []prep
-	for i := 0; i < 4; i++ {
-		a := marray.RandomMonge(rng, n, n)
-		f := marray.Func{M: n, N: n, F: a.At}
-		mix = append(mix, prep{q: serve.Query{Kind: serve.RowMinima, A: f}, idx: smawk.RowMinima(a)})
-	}
-	s := marray.RandomStaircaseMonge(rng, n, n)
-	sf := marray.Func{M: n, N: n, F: s.At}
-	mix = append(mix, prep{q: serve.Query{Kind: serve.StaircaseRowMinima, A: sf}, idx: smawk.StaircaseRowMinima(s)})
-	// Hostile traffic: ties split at 2^-30, ~1e-9 (exact leftmost
-	// tie-breaking or bust) and an inf-dominated staircase (mostly
-	// blocked rows, -1 answers). Both are implicit-backed so the
-	// workers — and under the native backend the branchless scan
-	// kernels — see them.
-	nt := marray.RandomNearTieMonge(rng, n, n)
-	ntf := marray.Func{M: n, N: n, F: nt.At}
-	mix = append(mix, prep{q: serve.Query{Kind: serve.RowMinima, A: ntf}, idx: smawk.RowMinima(nt)})
-	ih := marray.RandomInfHeavyStaircase(rng, n, n)
-	mix = append(mix, prep{q: serve.Query{Kind: serve.StaircaseRowMinima, A: ih}, idx: smawk.StaircaseRowMinima(ih)})
-	c := marray.RandomComposite(rng, tubeN, tubeN, tubeN)
-	tj, _ := smawk.TubeMaxima(c)
-	mix = append(mix, prep{q: serve.Query{Kind: serve.TubeMaxima, C: c}, tubJ: tj})
-
-	pool := serve.New(pram.CRCW, serve.Options{Workers: workersN, Context: benchCtx, Backend: backendBE})
-	defer pool.Close()
-	printf("\n== Concurrent serving: %d queries, %d workers, %s backend", queriesN, pool.Workers(), backendBE)
-	if qpsLimit > 0 {
-		printf(", throttled to %.0f qps", qpsLimit)
-	}
-	printf(" ==\n")
-
-	var throttle <-chan time.Time
-	if qpsLimit > 0 {
-		tick := time.NewTicker(time.Duration(float64(time.Second) / qpsLimit))
-		defer tick.Stop()
-		throttle = tick.C
-	}
-	tickets := make([]*serve.Ticket, queriesN)
-	start := time.Now()
-	for i := 0; i < queriesN; i++ {
-		if throttle != nil {
-			<-throttle
-		}
-		t, err := pool.Submit(mix[i%len(mix)].q)
-		if err != nil {
-			merr.Throw(err)
-		}
-		tickets[i] = t
-	}
-	mismatches := 0
-	for i, t := range tickets {
-		res := t.Result()
-		if res.Err != nil {
-			merr.Throw(res.Err)
-		}
-		want := mix[i%len(mix)]
-		for r := range want.idx {
-			if res.Idx[r] != want.idx[r] {
-				mismatches++
-			}
-		}
-		for x := range want.tubJ {
-			for k := range want.tubJ[x] {
-				if res.TubeJ[x][k] != want.tubJ[x][k] {
-					mismatches++
-				}
-			}
-		}
-	}
-	elapsed := time.Since(start)
-
-	st := pool.Stats()
-	match := "ok"
-	if mismatches > 0 {
-		match = fmt.Sprintf("%d MISMATCHES", mismatches)
-	}
-	printf("%10s %12s %10s %10s %8s\n", "queries", "elapsed", "qps", "imbalance", "match")
-	printf("%10d %12v %10.0f %10d %8s\n", st.Queries, elapsed.Round(time.Millisecond),
-		float64(st.Queries)/elapsed.Seconds(), st.Imbalance, match)
-	printf("   per-shard queries:")
-	for _, q := range st.PerWorker {
-		printf(" %d", q)
-	}
-	printf("\n")
-	if mismatches > 0 {
-		merr.Throwf(merr.ErrNotMonge, "serve: %d index mismatches against the sequential facade", mismatches)
 	}
 }
 

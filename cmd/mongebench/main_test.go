@@ -38,55 +38,6 @@ func TestTimeoutExitsNonzero(t *testing.T) {
 	}
 }
 
-// TestServeModeReportsThroughput smoke-tests the -serve driver-pool
-// mode: a small run must exit 0, report its throughput line with every
-// answer matching the sequential facade, and honor -timeout with the
-// standard non-zero abort.
-func TestServeModeReportsThroughput(t *testing.T) {
-	code, stdout, stderr := run(t, "-serve", "-maxn", "64", "-queries", "32", "-workers", "2")
-	if code != 0 {
-		t.Fatalf("exit %d, stderr:\n%s", code, stderr)
-	}
-	if !strings.Contains(stdout, "Concurrent serving") || !strings.Contains(stdout, "ok") {
-		t.Fatalf("missing throughput report:\n%s", stdout)
-	}
-	if strings.Contains(stdout, "MISMATCH") {
-		t.Fatalf("served answers diverged from the sequential facade:\n%s", stdout)
-	}
-	code, _, stderr = run(t, "-serve", "-maxn", "64", "-queries", "8", "-timeout", "1ns")
-	if code == 0 {
-		t.Error("-serve -timeout 1ns exited 0; cancelled runs must fail")
-	}
-	if !strings.Contains(stderr, "aborted") {
-		t.Errorf("-serve timeout stderr does not report the abort:\n%s", stderr)
-	}
-}
-
-// TestServeModeNativeBackend covers the -backend flag end to end: a
-// native-backend serve run exits 0, names the backend in its report,
-// and keeps every answer matching the sequential facade (which checks
-// against PRAM-derived expectations — a cross-backend differential at
-// the CLI layer); a bogus backend is a usage error.
-func TestServeModeNativeBackend(t *testing.T) {
-	code, stdout, stderr := run(t, "-serve", "-backend", "native", "-maxn", "64", "-queries", "32", "-workers", "2")
-	if code != 0 {
-		t.Fatalf("exit %d, stderr:\n%s", code, stderr)
-	}
-	if !strings.Contains(stdout, "native backend") {
-		t.Fatalf("report does not name the native backend:\n%s", stdout)
-	}
-	if strings.Contains(stdout, "MISMATCH") {
-		t.Fatalf("native served answers diverged from the sequential facade:\n%s", stdout)
-	}
-	code, _, stderr = run(t, "-serve", "-backend", "bogus")
-	if code != 2 {
-		t.Fatalf("-backend bogus exited %d, want 2", code)
-	}
-	if !strings.Contains(stderr, "bogus") {
-		t.Fatalf("stderr does not name the bad backend:\n%s", stderr)
-	}
-}
-
 func TestUnknownExperimentExitsUsage(t *testing.T) {
 	code, _, stderr := run(t, "-exp", "nope")
 	if code != 2 {
@@ -97,12 +48,33 @@ func TestUnknownExperimentExitsUsage(t *testing.T) {
 	}
 }
 
-// TestTraceFlagRemoved: the per-step sink export is gone; -metrics and
-// -trace-out are the instrumentation flags, so -trace is a usage error.
+// TestTraceFlagRemoved pins every flag the command has dropped: the
+// per-step sink export (-trace) and the serving and batch modes with
+// their knobs, whose load generation now lives only in perfbench. Each
+// one is a usage error that names the flag.
 func TestTraceFlagRemoved(t *testing.T) {
-	code, _, stderr := run(t, "-exp", "t11", "-maxn", "16", "-trace", "-")
-	if code != 2 || !strings.Contains(stderr, "-trace") {
-		t.Fatalf("-trace exited %d, want 2 naming the flag; stderr:\n%s", code, stderr)
+	for _, tc := range []struct {
+		flag string
+		args []string
+	}{
+		{"-trace", []string{"-trace", "-"}},
+		{"-serve", []string{"-serve"}},
+		{"-openloop", []string{"-openloop"}},
+		{"-latency-out", []string{"-latency-out", "x.json"}},
+		{"-batch", []string{"-batch", "8"}},
+		{"-backend", []string{"-backend", "native"}},
+		{"-workers", []string{"-workers", "2"}},
+		{"-qps", []string{"-qps", "400"}},
+		{"-queries", []string{"-queries", "64"}},
+	} {
+		t.Run(tc.flag, func(t *testing.T) {
+			code, _, stderr := run(t, append([]string{"-exp", "t11", "-maxn", "16"}, tc.args...)...)
+			// The usage text after the error lists the kept flags
+			// (-trace-out among them), so match the error line itself.
+			if code != 2 || !strings.Contains(stderr, "not defined: "+tc.flag+"\n") {
+				t.Fatalf("%s exited %d, want 2 naming the flag; stderr:\n%s", tc.flag, code, stderr)
+			}
+		})
 	}
 }
 
@@ -208,93 +180,6 @@ func TestTraceOutWritesChromeTrace(t *testing.T) {
 	for _, want := range []string{"pram", "hypercube", "hcmonge"} {
 		if !sites[want] {
 			t.Errorf("trace has no spans from site %q (got %v)", want, sites)
-		}
-	}
-}
-
-// TestOpenLoopFlagValidation pins the usage contract of the open-loop
-// latency mode: every invalid flag combination exits 2 with a message
-// naming the offending flag, before any experiment work starts.
-func TestOpenLoopFlagValidation(t *testing.T) {
-	for name, tc := range map[string]struct {
-		args []string
-		want string // substring the usage message must contain
-	}{
-		"openloop-without-serve": {
-			args: []string{"-openloop", "-qps", "100"},
-			want: "-openloop requires -serve",
-		},
-		"openloop-without-qps": {
-			args: []string{"-serve", "-openloop"},
-			want: "-openloop requires -qps > 0",
-		},
-		"latency-out-without-openloop": {
-			args: []string{"-serve", "-latency-out", "x.json"},
-			want: "-latency-out requires -openloop",
-		},
-		"negative-qps": {
-			args: []string{"-serve", "-qps", "-5"},
-			want: "-qps -5 is negative",
-		},
-	} {
-		code, _, stderr := run(t, tc.args...)
-		if code != 2 {
-			t.Errorf("%s: exit %d, want 2 (stderr: %s)", name, code, stderr)
-		}
-		if !strings.Contains(stderr, tc.want) {
-			t.Errorf("%s: stderr missing %q:\n%s", name, tc.want, stderr)
-		}
-	}
-}
-
-// TestOpenLoopWritesLatencyLadder smoke-tests the open-loop mode end to
-// end: a light run exits 0 and writes a monge-latency/v1 document with
-// the three rungs, consistent outcome counts, and monotone percentiles.
-func TestOpenLoopWritesLatencyLadder(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "lat.json")
-	code, stdout, stderr := run(t,
-		"-serve", "-openloop", "-qps", "400", "-queries", "40",
-		"-maxn", "64", "-workers", "2", "-latency-out", path)
-	if code != 0 {
-		t.Fatalf("exit %d, stderr:\n%s", code, stderr)
-	}
-	if !strings.Contains(stdout, "Open-loop") {
-		t.Fatalf("missing open-loop report:\n%s", stdout)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		Schema string `json:"schema"`
-		Points []struct {
-			Multiplier float64 `json:"multiplier"`
-			Sent       int64   `json:"sent"`
-			OK         int64   `json:"ok"`
-			Rejected   int64   `json:"rejected"`
-			Deadline   int64   `json:"deadline_expired"`
-			P50        float64 `json:"p50_us"`
-			P95        float64 `json:"p95_us"`
-			P99        float64 `json:"p99_us"`
-		} `json:"points"`
-	}
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		t.Fatalf("latency ladder is not valid JSON: %v", err)
-	}
-	if doc.Schema != "monge-latency/v1" {
-		t.Fatalf("schema %q, want monge-latency/v1", doc.Schema)
-	}
-	if len(doc.Points) != 3 {
-		t.Fatalf("%d rungs, want 3 (0.5x, 1x, 2x)", len(doc.Points))
-	}
-	for _, p := range doc.Points {
-		if p.Sent != p.OK+p.Rejected+p.Deadline {
-			t.Errorf("rung %gx: sent %d != ok %d + rejected %d + deadline %d",
-				p.Multiplier, p.Sent, p.OK, p.Rejected, p.Deadline)
-		}
-		if p.OK > 0 && !(p.P50 > 0 && p.P50 <= p.P95 && p.P95 <= p.P99) {
-			t.Errorf("rung %gx: percentiles not positive/monotone: p50=%g p95=%g p99=%g",
-				p.Multiplier, p.P50, p.P95, p.P99)
 		}
 	}
 }

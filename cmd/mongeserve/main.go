@@ -1,8 +1,12 @@
 // Command mongeserve runs the load-disciplined JSON serving front end:
 // a DriverPool behind admission control, exposed over HTTP.
 //
-//	mongeserve -addr :8080 -workers 4 -backend native \
-//	    -max-inflight 64 -queue 128 -hedge-after 5ms
+//	mongeserve -addr :8080 -workers 4 -max-inflight 64 -queue 128 -hedge-after 5ms
+//
+// The pool serves on the native goroutine kernels (BackendNative):
+// answers are index-exact with the PRAM simulator, which stays the
+// reproduction backend and the oracle, so the PRAM counters of
+// /metrics read 0 here.
 //
 // Endpoints: POST /v1/query, POST /v1/index, GET /v1/stats,
 // GET /metrics, GET /debug/vars. See the README "Load discipline"
@@ -37,8 +41,7 @@ func mainImpl(args []string, stderr *os.File) int {
 	var (
 		addr        = fs.String("addr", ":8080", "listen address")
 		workers     = fs.Int("workers", 0, "pool workers (0 = GOMAXPROCS)")
-		backend     = fs.String("backend", "pram", "execution backend: pram or native")
-		queue       = fs.Int("queue", 0, "queue depth (0 = 2x workers)")
+		queue       = fs.Int("queue", 0, "queue depth (0 = one per worker)")
 		maxInflight = fs.Int("max-inflight", 0, "admission inflight cap (0 = 4x workers)")
 		shedFrac    = fs.Float64("shed-fraction", 0, "shed priority<=0 work above this fraction of the cap (0 = 0.75)")
 		tenantRate  = fs.Float64("tenant-rate", 0, "per-tenant quota tokens/sec (0 = no quotas)")
@@ -49,21 +52,10 @@ func mainImpl(args []string, stderr *os.File) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	var be monge.Backend
-	switch *backend {
-	case "pram":
-		be = monge.BackendPRAM
-	case "native":
-		be = monge.BackendNative
-	default:
-		fmt.Fprintf(stderr, "mongeserve: unknown -backend %q (want pram or native)\n", *backend)
-		return 2
-	}
-
 	obs.SetGlobal(obs.NewObserver())
 	pool := monge.NewDriverPoolOpts(monge.CRCW, monge.PoolOptions{
 		Workers:    *workers,
-		Backend:    be,
+		Backend:    monge.BackendNative,
 		QueueDepth: *queue,
 		Admission: &serve.Admission{
 			MaxInflight:  *maxInflight,
@@ -91,7 +83,7 @@ func mainImpl(args []string, stderr *os.File) int {
 
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
-	fmt.Fprintf(stderr, "mongeserve: serving on %s (backend=%s workers=%d)\n", *addr, *backend, pool.Stats().Workers)
+	fmt.Fprintf(stderr, "mongeserve: serving on %s (workers=%d)\n", *addr, pool.Stats().Workers)
 
 	select {
 	case err := <-errc:

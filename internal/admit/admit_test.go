@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -443,5 +444,77 @@ func TestDoAgainstOracle(t *testing.T) {
 			}
 		}
 	}
+	f.Drain()
+}
+
+// TestOpenLoopLowLoadAdmits is the front's low-load admission gate.
+// One worker serves a sleep-dominated query whose service time is fixed
+// (~4.4 ms, race detector or not), so the load is known: arrivals are
+// pinned to the clock at 0.5x and 2x of the calibrated closed-loop rate
+// whether or not earlier requests have finished. At 0.5x the default
+// fail-fast front must admit essentially everything, and every answer
+// must be index-exact; at 2x it must shed, which shows the pacing
+// really loads the pool. The pool's machine and serving-boundary
+// injectors are pinned off, so FAULT_RATE cannot move the result.
+func TestOpenLoopLowLoadAdmits(t *testing.T) {
+	off := faults.New(0, 0)
+	p := serve.New(pram.CRCW, serve.Options{Workers: 1, Faults: off, Chaos: off})
+	defer p.Close()
+	f := New(p, &serve.Admission{})
+	a := slowMatrix(2, time.Millisecond)
+	q := serve.Query{Kind: serve.RowMinima, A: a}
+	want := smawk.RowMinima(a)
+
+	const calls = 20
+	start := time.Now()
+	for i := 0; i < calls; i++ {
+		if res := f.Do(context.Background(), Request{Query: q}); res.Err != nil {
+			t.Fatalf("calibration call %d: %v", i, res.Err)
+		}
+	}
+	service := time.Since(start) / calls
+
+	// rung fires n arrivals, the i-th at start + i·interval, and returns
+	// the share rejected with ErrOverloaded.
+	rung := func(mult float64) float64 {
+		const n = 200
+		interval := time.Duration(float64(service) / mult)
+		var rejected atomic.Int64
+		var wg sync.WaitGroup
+		start := time.Now()
+		for i := 0; i < n; i++ {
+			time.Sleep(time.Until(start.Add(time.Duration(i) * interval)))
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				res := f.Do(context.Background(), Request{Query: q})
+				switch {
+				case res.Err == nil:
+					for r := range want {
+						if res.Idx[r] != want[r] {
+							t.Errorf("%gx arrival %d row %d: %d, want %d", mult, i, r, res.Idx[r], want[r])
+							return
+						}
+					}
+				case errors.Is(res.Err, ErrOverloaded):
+					rejected.Add(1)
+				case errors.Is(res.Err, ErrDeadlineExceeded), errors.Is(res.Err, merr.ErrCanceled):
+				default:
+					t.Errorf("%gx arrival %d: untyped error %v", mult, i, res.Err)
+				}
+			}(i)
+		}
+		wg.Wait()
+		rate := float64(rejected.Load()) / n
+		t.Logf("%gx of %.0f qps (service %v): %.1f%% rejected", mult, float64(time.Second)/float64(service), service, 100*rate)
+		return rate
+	}
+	if low := rung(0.5); low > 0.05 {
+		t.Errorf("0.5x rung rejected %.1f%%, want <= 5%%: the front rejects under low load", 100*low)
+	}
+	if sat := rung(2); sat < 1.0/3 {
+		t.Errorf("2x rung rejected %.1f%%, want >= 33.3%%: the arrivals did not load the pool", 100*sat)
+	}
+	p.Wait()
 	f.Drain()
 }

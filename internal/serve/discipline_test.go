@@ -330,6 +330,37 @@ func TestQueueDepthAccounting(t *testing.T) {
 	}
 }
 
+// TestShardImbalanceLive pins the shard_imbalance gauge as a live
+// reading: with an observer installed it tracks Stats().Imbalance while
+// the pool serves, not only once Close has run.
+func TestShardImbalanceLive(t *testing.T) {
+	o := obs.NewObserver()
+	prev := obs.Global()
+	obs.SetGlobal(o)
+	defer obs.SetGlobal(prev)
+
+	p := New(pram.CRCW, Options{Workers: 2, QueueDepth: 8})
+	defer p.Close()
+	// One slow query holds a worker while the other serves the burst,
+	// so the shards end unevenly loaded.
+	if _, err := p.Submit(Query{Kind: RowMinima, A: slowMatrix(8, 8, time.Millisecond)}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		if _, err := p.Submit(smallQuery(int64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p.Wait()
+	want := p.Stats().Imbalance
+	if want == 0 {
+		t.Fatalf("per-shard counts %v are even; the workload no longer loads the shards unevenly", p.Stats().PerWorker)
+	}
+	if got := o.Site("serve").Load(obs.ShardImbalance); got != want {
+		t.Fatalf("shard_imbalance gauge %d before Close, want Stats().Imbalance %d", got, want)
+	}
+}
+
 // TestServeChaosConformance is the serving-boundary chaos contract:
 // with queue stalls and slow shards injected at a visible rate, every
 // query still answers index-exact against the sequential oracle —

@@ -281,6 +281,7 @@ type Pool struct {
 	subSeq   atomic.Int64   // chaos unit ids for the submit path
 
 	served []shardCount
+	imbMu  sync.Mutex // serialises count+store of obs.ShardImbalance
 
 	obsC *obs.Counters
 }
@@ -488,9 +489,6 @@ func (p *Pool) Close() {
 	p.done.Wait()
 	if !already {
 		p.state.Store(2)
-		if p.obsC != nil {
-			p.obsC.Store(obs.ShardImbalance, p.Stats().Imbalance)
-		}
 	}
 }
 
@@ -523,22 +521,23 @@ func (p *Pool) Stats() Stats {
 	if st.State != StateClosed {
 		st.QueueDepth = len(p.queue)
 	}
-	min, max := int64(-1), int64(0)
 	for i := range p.served {
 		n := p.served[i].load()
 		st.PerWorker[i] = n
 		st.Queries += n
-		if min < 0 || n < min {
-			min = n
-		}
-		if n > max {
-			max = n
-		}
 	}
-	if min >= 0 {
-		st.Imbalance = max - min
-	}
+	st.Imbalance = p.imbalance()
 	return st
+}
+
+// imbalance is the max minus the min of the per-shard query counts.
+func (p *Pool) imbalance() int64 {
+	lo, hi := p.served[0].load(), int64(0)
+	for i := range p.served {
+		n := p.served[i].load()
+		lo, hi = min(lo, n), max(hi, n)
+	}
+	return hi - lo
 }
 
 // mergeCtx derives the context one query runs under when it carries its
@@ -580,8 +579,17 @@ func (p *Pool) worker(id int) {
 			}
 		}
 		t.res = p.resolve(d, eng, t)
-		p.served[id].add(1)
-		p.obsC.Add(obs.QueriesServed, 1)
+		if p.obsC != nil {
+			// Count, compute and store under one lock, so the last
+			// store always reflects every count before it.
+			p.imbMu.Lock()
+			p.served[id].add(1)
+			p.obsC.Store(obs.ShardImbalance, p.imbalance())
+			p.imbMu.Unlock()
+			p.obsC.Add(obs.QueriesServed, 1)
+		} else {
+			p.served[id].add(1)
+		}
 		close(t.done)
 		p.inflight.Done()
 	}

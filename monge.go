@@ -584,9 +584,6 @@ type PoolAdmission = serve.Admission
 // metadata (tenant for quotas, priority for shedding order).
 type PoolRequest = admit.Request
 
-// FrontStats snapshots a pool front's admission counters.
-type FrontStats = admit.Stats
-
 // DriverPool is the goroutine-safe counterpart of BatchDriver: it
 // shards a stream of queries across worker goroutines, each owning a
 // private BatchDriver-equivalent (so the per-shape machine arenas are
@@ -609,13 +606,6 @@ type DriverPool struct {
 // worker count (workers <= 0 means GOMAXPROCS).
 func NewDriverPool(mode Mode, workers int) *DriverPool {
 	return NewDriverPoolOpts(mode, PoolOptions{Workers: workers})
-}
-
-// NewDriverPoolContext is NewDriverPool with a pool context: cancelling
-// ctx aborts in-flight and queued queries, whose tickets then resolve
-// with ErrCanceled.
-func NewDriverPoolContext(ctx context.Context, mode Mode, workers int) *DriverPool {
-	return NewDriverPoolOpts(mode, PoolOptions{Workers: workers, Context: ctx})
 }
 
 // NewDriverPoolOpts is the fully configurable constructor. The pool
@@ -746,12 +736,10 @@ func MLinkPathRequest(n int, w LinkWeight, M int) PoolRequest {
 }
 
 // Front exposes the pool's admission front for callers that want the
-// lower-level Admit/Do/Stats API directly.
+// lower-level Admit/Do/Stats API directly; Front().Stats() snapshots
+// the admission counters (admitted, rejected, shed, hedged, retried,
+// deadline-expired, inflight).
 func (dp *DriverPool) Front() *admit.Front { return dp.f }
-
-// FrontStats snapshots the admission counters (admitted, rejected,
-// shed, hedged, retried, deadline-expired, inflight).
-func (dp *DriverPool) FrontStats() FrontStats { return dp.f.Stats() }
 
 // RowMinimaStream submits one row-minima query per matrix and returns a
 // channel yielding results in submission order, closed after the last.
