@@ -133,12 +133,6 @@ func TransportGreedy(supply, demand []float64, cost Matrix) (totalCost float64, 
 	return transport.Greedy(supply, demand, cost)
 }
 
-// MustTransportGreedy is TransportGreedy for statically balanced inputs;
-// it panics with the typed error on an unbalanced problem.
-func MustTransportGreedy(supply, demand []float64, cost Matrix) (totalCost float64, flows []transport.Flow) {
-	return transport.MustGreedy(supply, demand, cost)
-}
-
 // --- Sequential baseline re-exports ------------------------------------------
 
 // RowMinimaDC is the O((m+n) lg m) divide-and-conquer baseline predating

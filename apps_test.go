@@ -91,13 +91,16 @@ func TestAppsFacadeTransportAndBaselines(t *testing.T) {
 		}
 	}
 	c := NewFunc(3, 4, func(i, j int) float64 { return cost.At(i, j) - shift })
-	total, flows := MustTransportGreedy([]float64{5, 5, 5}, []float64{4, 4, 4, 3}, c)
-	if total < 0 || len(flows) == 0 {
-		t.Fatal("transport result wrong")
+	total, flows, err := TransportGreedy([]float64{5, 5, 5}, []float64{4, 4, 4, 3}, c)
+	if err != nil || total < 0 || len(flows) == 0 {
+		t.Fatalf("transport result wrong: %v, %v, %v", total, flows, err)
 	}
 	a := marray.RandomMonge(rng, 15, 15)
 	dc := RowMinimaDC(a)
-	sm := MustRowMinima(a)
+	sm, err := RowMinima(a)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := range sm {
 		if dc[i] != sm[i] {
 			t.Fatal("DC baseline disagrees with SMAWK")

@@ -4,12 +4,14 @@ import (
 	"math/rand"
 	"testing"
 
+	"monge/internal/batch"
 	"monge/internal/marray"
 )
 
-// FuzzBatchMatchesSingle drives the batched driver with mixed-shape,
-// tie-heavy workloads and checks every answer index-for-index against
-// the one-query-at-a-time facade path on a fresh machine. Index equality
+// FuzzBatchMatchesSingle drives one batch.Driver — the per-shape machine
+// cache every serving worker runs — with mixed-shape, tie-heavy
+// workloads and checks every answer index-for-index against the
+// one-query-at-a-time facade path on a fresh machine. Index equality
 // (not value equality) is the point: machine reuse must not perturb the
 // leftmost tie-breaking rule. The same batch also runs through a
 // native-backend driver, making this target a three-way differential:
@@ -50,16 +52,24 @@ func FuzzBatchMatchesSingle(f *testing.F) {
 			// epsilon-based comparison shortcut with an index mismatch.
 			as = append(as, marray.RandomNearTieMonge(rng, m, n))
 		}
-		d := NewBatchDriver(CRCW)
+		d := batch.New(CRCW)
 		defer d.Close()
-		nd := NewBatchDriverBackend(CRCW, BackendNative)
+		nd := batch.NewWithBackend(CRCW, BackendNative)
 		defer nd.Close()
-		got, err := d.RowMinimaBatch(as)
-		if err != nil {
+		got := make([][]int, len(as))
+		ngot := make([][]int, len(as))
+		if err := catchInto(func() {
+			for i, a := range as {
+				got[i] = d.RowMinima(a)
+			}
+		}); err != nil {
 			t.Fatalf("batch: %v", err)
 		}
-		ngot, err := nd.RowMinimaBatch(as)
-		if err != nil {
+		if err := catchInto(func() {
+			for i, a := range as {
+				ngot[i] = nd.RowMinima(a)
+			}
+		}); err != nil {
 			t.Fatalf("native batch: %v", err)
 		}
 		for i, a := range as {

@@ -17,6 +17,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"monge/internal/batch"
 	"monge/internal/core"
 	"monge/internal/dp"
 	"monge/internal/faults"
@@ -482,7 +483,9 @@ func BenchmarkExtension_Transport(b *testing.B) {
 	b.Run("hoffman-greedy", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			transport.MustGreedy(a, bb, c)
+			if _, _, err := transport.Greedy(a, bb, c); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 }
@@ -681,7 +684,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 // BenchmarkBackendKernels is the per-kernel PRAM-vs-native latency and
 // allocation comparison recorded in EXPERIMENTS.md ("Execution
 // backends"): each of the three query kinds runs through a steady-state
-// BatchDriver on both backends, same inputs, same driver seam. The
+// batch.Driver on both backends, same inputs, same driver seam. The
 // native rows are the serving numbers; the PRAM rows price the
 // simulation (charged supersteps, write-buffer bookkeeping) that the
 // conformance oracle pays on every query.
@@ -693,30 +696,24 @@ func BenchmarkBackendKernels(b *testing.B) {
 	s := marray.RandomStaircaseMonge(rng, n, n)
 	c := marray.RandomComposite(rng, tubeN, tubeN, tubeN)
 	for _, be := range []Backend{BackendPRAM, BackendNative} {
-		d := NewBatchDriverBackend(CRCW, be)
+		d := batch.NewWithBackend(CRCW, be)
 		defer d.Close()
 		b.Run(fmt.Sprintf("backend=%s/smawk/n=%d", be, n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := d.RowMinima(a); err != nil {
-					b.Fatal(err)
-				}
+				d.RowMinima(a)
 			}
 		})
 		b.Run(fmt.Sprintf("backend=%s/staircase/n=%d", be, n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := d.StaircaseRowMinima(s); err != nil {
-					b.Fatal(err)
-				}
+				d.StaircaseRowMinima(s)
 			}
 		})
 		b.Run(fmt.Sprintf("backend=%s/tube/n=%d", be, tubeN), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := d.TubeMaxima(c); err != nil {
-					b.Fatal(err)
-				}
+				d.TubeMaxima(c)
 			}
 		})
 	}

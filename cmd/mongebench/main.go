@@ -17,6 +17,14 @@
 // flat when the measured growth matches the claimed bound. See
 // EXPERIMENTS.md for the recorded runs and deviations.
 //
+// Tables 1.1–1.3 (t11, t12, t13) print the rows of the complexity gate
+// (internal/checkbounds, run by TestCheckBounds): its fixed per-row
+// seeds and its ladders (128–512 for the dense searches, smaller for
+// tube maxima), each row closed by its flatness. -seed does not affect
+// them and -maxn only trims their ladders, so `mongebench -exp t11
+// -maxn 512` prints exactly the t(n) values recorded in EXPERIMENTS.md.
+// -seed and -maxn drive figure 1.1 and the applications as before.
+//
 // With -metrics, the observability layer (internal/obs) is installed
 // process-wide and the per-site counters — charged supersteps/time/work,
 // shared-memory reads/writes, write conflicts by mode, link messages and
@@ -49,10 +57,9 @@ import (
 	"runtime/pprof"
 	"time"
 
-	"monge/internal/core"
+	"monge/internal/checkbounds"
 	"monge/internal/faults"
 	"monge/internal/geom"
-	"monge/internal/hcmonge"
 	hc "monge/internal/hypercube"
 	"monge/internal/marray"
 	"monge/internal/merr"
@@ -97,14 +104,6 @@ func newPRAM(mode pram.Mode, procs int) *pram.Machine {
 	return m
 }
 
-// tuned wires a network machine to the run's context.
-func tuned(m *hc.Machine) *hc.Machine {
-	if benchCtx != nil {
-		m.SetContext(benchCtx)
-	}
-	return m
-}
-
 func main() {
 	os.Exit(mainImpl(os.Args[1:], os.Stdout, os.Stderr))
 }
@@ -120,8 +119,8 @@ func mainImpl(args []string, stdout, stderr io.Writer) (code int) {
 	fs := flag.NewFlagSet("mongebench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	fs.StringVar(&expFlag, "exp", "all", "experiment: all, t11, t12, t13, fig11, app1, app2, app3, app4")
-	fs.IntVar(&maxN, "maxn", 2048, "largest problem size in the ladder")
-	fs.Int64Var(&seed, "seed", 1, "workload seed")
+	fs.IntVar(&maxN, "maxn", 2048, "largest problem size in the ladders; t11-t13 use the complexity gate's ladders (up to 512), which this only trims")
+	fs.Int64Var(&seed, "seed", 1, "workload seed of fig11 and app1-app4; t11-t13 use the gate's fixed per-row seeds")
 	fs.DurationVar(&timeout, "timeout", 0, "cancel the run after this duration (0 = no deadline)")
 	fs.Float64Var(&faultRate, "faults", 0, "per-unit fault injection rate in (0, 0.9]; 0 disables injection")
 	fs.Int64Var(&faultSeed, "fault-seed", 1, "seed of the deterministic fault schedule")
@@ -188,9 +187,9 @@ func mainImpl(args []string, stdout, stderr io.Writer) (code int) {
 			failed = true
 		}
 	}
-	run("t11", table11)
-	run("t12", table12)
-	run("t13", table13)
+	run("t11", func() { table("1.1") })
+	run("t12", func() { table("1.2") })
+	run("t13", func() { table("1.3") })
 	run("fig11", figure11)
 	run("app1", app1)
 	run("app2", app2)
@@ -278,106 +277,25 @@ func header(title, claim string) {
 	printf("%8s %12s %12s %14s %12s\n", "n", "time", "procs", "work", "time/bound")
 }
 
-func table11() {
-	rng := rand.New(rand.NewSource(seed))
-	header("Table 1.1 row 1: CRCW row maxima, n x n Monge", "O(lg n) time, n processors")
-	for _, n := range sizes(maxN) {
-		a := marray.RandomMonge(rng, n, n)
-		mach := newPRAM(pram.CRCW, n)
-		core.MongeRowMaxima(mach, a)
-		printf("%8d %12d %12d %14d %12.1f\n", n, mach.Time(), mach.Procs(), mach.Work(), float64(mach.Time())/lg(n))
+// table prints Table id (one of "1.1", "1.2", "1.3") row by row from the
+// complexity gate's specs: the same algorithms, processor counts, bounds,
+// ladders and per-row seeds that TestCheckBounds measures and that
+// EXPERIMENTS.md records, so the two can never disagree.
+func table(id string) {
+	ctx := benchCtx
+	if ctx == nil {
+		ctx = context.Background()
 	}
-	header("Table 1.1 row 2: CREW row maxima, n x n Monge", "O(lg n lglg n) time, n/lglg n processors")
-	for _, n := range sizes(maxN) {
-		a := marray.RandomMonge(rng, n, n)
-		p := n / pram.LogLog2Ceil(n)
-		mach := newPRAM(pram.CREW, p)
-		core.MongeRowMaxima(mach, a)
-		bound := lg(n) * float64(pram.LogLog2Ceil(n))
-		printf("%8d %12d %12d %14d %12.1f\n", n, mach.Time(), p, mach.Work(), float64(mach.Time())/bound)
-	}
-	header("Table 1.1 row 3: hypercube / CCC / shuffle-exchange row maxima (Thm 3.2)",
-		"O(lg n lglg n) time, n/lglg n processors (we size machines at O(n); time is the reproduced claim)")
-	for _, kind := range []hc.Kind{hc.Cube, hc.CCC, hc.Shuffle} {
-		for _, n := range sizes(min(maxN, 1024)) {
-			a := marray.RandomMonge(rng, n, n)
-			v, w := idxVec(n), idxVec(n)
-			mach := tuned(hcmonge.MachineFor(kind, n, n))
-			hcmonge.MongeRowMaximaOn(mach, v, w, func(i, j int) float64 { return a.At(i, j) })
-			bound := lg(n) * float64(pram.LogLog2Ceil(n))
-			printf("%8d %12d %12d %14d %12.1f  (%s)\n", n, mach.Time(), mach.Size(), mach.Work(),
-				float64(mach.Time())/bound, kind)
+	for _, s := range checkbounds.Rows() {
+		if s.Table != id {
+			continue
 		}
-	}
-}
-
-func idxVec(n int) []int {
-	v := make([]int, n)
-	for i := range v {
-		v[i] = i
-	}
-	return v
-}
-
-func table12() {
-	rng := rand.New(rand.NewSource(seed))
-	header("Table 1.2 row 1: CRCW staircase row minima (Thm 2.3)", "O(lg n) time, n processors")
-	for _, n := range sizes(maxN) {
-		a := marray.RandomStaircaseMonge(rng, n, n)
-		mach := newPRAM(pram.CRCW, n)
-		core.StaircaseRowMinima(mach, a)
-		printf("%8d %12d %12d %14d %12.1f\n", n, mach.Time(), n, mach.Work(), float64(mach.Time())/lg(n))
-	}
-	header("Table 1.2 row 2: CREW staircase row minima (Thm 2.3)", "O(lg n lglg n) time, n/lglg n processors")
-	for _, n := range sizes(maxN) {
-		a := marray.RandomStaircaseMonge(rng, n, n)
-		p := n / pram.LogLog2Ceil(n)
-		mach := newPRAM(pram.CREW, p)
-		core.StaircaseRowMinima(mach, a)
-		bound := lg(n) * float64(pram.LogLog2Ceil(n))
-		printf("%8d %12d %12d %14d %12.1f\n", n, mach.Time(), p, mach.Work(), float64(mach.Time())/bound)
-	}
-	header("Table 1.2 row 3: hypercube staircase row minima (Thm 3.3)",
-		"O(lg n lglg n) time (proof omitted in the paper; see EXPERIMENTS.md)")
-	for _, n := range sizes(min(maxN, 1024)) {
-		a := marray.RandomStaircaseMonge(rng, n, n)
-		bounds := make([]int, n)
-		for i := 0; i < n; i++ {
-			bounds[i] = marray.BoundaryOf(a, i)
+		r := checkbounds.Measure(ctx, s, maxN, checkbounds.Tolerance)
+		header(fmt.Sprintf("Table %s row %d: %s %s", s.Table, s.Row, s.Model, s.Name), s.Claim)
+		for _, p := range r.Points {
+			printf("%8d %12d %12d %14d %12.1f\n", p.N, p.Time, p.Procs, p.Work, p.Ratio)
 		}
-		v, w := idxVec(n), idxVec(n)
-		mach := tuned(hcmonge.MachineFor(hc.Cube, n, n))
-		hcmonge.StaircaseRowMinimaOn(mach, v, bounds, w, func(i, j int) float64 { return a.At(i, j) })
-		bound := lg(n) * float64(pram.LogLog2Ceil(n))
-		printf("%8d %12d %12d %14d %12.1f\n", n, mach.Time(), mach.Size(), mach.Work(),
-			float64(mach.Time())/bound)
-	}
-}
-
-func table13() {
-	rng := rand.New(rand.NewSource(seed))
-	limit := min(maxN, 256)
-	header("Table 1.3 row 1: CRCW tube maxima",
-		"Theta(lglg n) time, n^2/lglg n procs [Ata89] -- our substitute measures O(lg n); deviation documented")
-	for _, n := range sizes(limit) {
-		c := marray.RandomComposite(rng, n, n, n)
-		mach := newPRAM(pram.CRCW, 2*n*n)
-		core.TubeMaxima(mach, c)
-		printf("%8d %12d %12d %14d %12.1f\n", n, mach.Time(), 2*n*n, mach.Work(), float64(mach.Time())/lg(n))
-	}
-	header("Table 1.3 row 2: CREW tube maxima", "Theta(lg n) time, n^2/lg n processors (ours: n*(q+r) groups)")
-	for _, n := range sizes(limit) {
-		c := marray.RandomComposite(rng, n, n, n)
-		mach := newPRAM(pram.CREW, 2*n*n)
-		core.TubeMaxima(mach, c)
-		printf("%8d %12d %12d %14d %12.1f\n", n, mach.Time(), 2*n*n, mach.Work(), float64(mach.Time())/lg(n))
-	}
-	header("Table 1.3 row 3: hypercube tube maxima (Thm 3.4)", "Theta(lg n) time, n^2 processors")
-	for _, n := range sizes(min(limit, 128)) {
-		c := marray.RandomComposite(rng, n, n, n)
-		mach := tuned(hcmonge.TubeMachineFor(hc.Cube, c))
-		hcmonge.TubeMaximaOn(mach, c)
-		printf("%8d %12d %12d %14d %12.1f\n", n, mach.Time(), mach.Size(), mach.Work(), float64(mach.Time())/lg(n))
+		printf("   flatness %.2f (tolerance %.1f)\n", r.Flatness, checkbounds.Tolerance)
 	}
 }
 

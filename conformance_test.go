@@ -52,9 +52,15 @@ func TestCrossModelRowMinimaConformance(t *testing.T) {
 				marray.RandomMonge(rng, sh.m, sh.n),
 				marray.RandomMongeInt(rng, sh.m, sh.n, 3), // tie-rich
 			} {
-				want := MustRowMinima(a) // sequential SMAWK reference
-				check := func(model string, got []int) {
+				want, err := RowMinima(a) // sequential SMAWK reference
+				if err != nil {
+					t.Fatalf("seed=%d %dx%d SMAWK: %v", seed, sh.m, sh.n, err)
+				}
+				check := func(model string, got []int, err error) {
 					t.Helper()
+					if err != nil {
+						t.Fatalf("seed=%d %dx%d %s: %v", seed, sh.m, sh.n, model, err)
+					}
 					for i := range want {
 						if got[i] != want[i] {
 							t.Fatalf("seed=%d %dx%d %s: row %d min at col %d, SMAWK says %d",
@@ -62,12 +68,14 @@ func TestCrossModelRowMinimaConformance(t *testing.T) {
 						}
 					}
 				}
-				check("CRCW", MustRowMinimaPRAM(NewPRAM(CRCW, sh.n), a))
-				check("CREW", MustRowMinimaPRAM(NewPRAM(CREW, sh.n), a))
+				got, err := RowMinimaPRAM(NewPRAM(CRCW, sh.n), a)
+				check("CRCW", got, err)
+				got, err = RowMinimaPRAM(NewPRAM(CREW, sh.n), a)
+				check("CREW", got, err)
 				v, w, f := netInputs(a)
 				for _, nk := range networkKinds {
-					got, _ := MustRowMinimaHypercube(nk.kind, v, w, f)
-					check(nk.name, got)
+					got, err := RowMinimaHypercube(NewNetworkFor(nk.kind, sh.m, sh.n), v, w, f)
+					check(nk.name, got, err)
 				}
 			}
 		}
@@ -83,9 +91,15 @@ func TestCrossModelStaircaseConformance(t *testing.T) {
 				marray.RandomStaircaseMonge(rng, sh.m, sh.n),
 				marray.RandomStaircaseMongeInt(rng, sh.m, sh.n, 3),
 			} {
-				want := MustStaircaseRowMinima(a)
-				check := func(model string, got []int) {
+				want, err := StaircaseRowMinima(a)
+				if err != nil {
+					t.Fatalf("seed=%d %dx%d sequential: %v", seed, sh.m, sh.n, err)
+				}
+				check := func(model string, got []int, err error) {
 					t.Helper()
+					if err != nil {
+						t.Fatalf("seed=%d %dx%d %s: %v", seed, sh.m, sh.n, model, err)
+					}
 					for i := range want {
 						if got[i] != want[i] {
 							t.Fatalf("seed=%d %dx%d %s: row %d min at col %d, sequential says %d",
@@ -93,16 +107,18 @@ func TestCrossModelStaircaseConformance(t *testing.T) {
 						}
 					}
 				}
-				check("CRCW", MustStaircaseRowMinimaPRAM(NewPRAM(CRCW, sh.n), a))
-				check("CREW", MustStaircaseRowMinimaPRAM(NewPRAM(CREW, sh.n), a))
+				got, err := StaircaseRowMinimaPRAM(NewPRAM(CRCW, sh.n), a)
+				check("CRCW", got, err)
+				got, err = StaircaseRowMinimaPRAM(NewPRAM(CREW, sh.n), a)
+				check("CREW", got, err)
 				v, w, f := netInputs(a)
 				bound := make([]int, sh.m)
 				for i := range bound {
 					bound[i] = marray.BoundaryOf(a, i)
 				}
 				for _, nk := range networkKinds {
-					got, _ := MustStaircaseRowMinimaHypercube(nk.kind, v, bound, w, f)
-					check(nk.name, got)
+					got, err := StaircaseRowMinimaHypercube(NewNetworkFor(nk.kind, sh.m, sh.n), v, bound, w, f)
+					check(nk.name, got, err)
 				}
 			}
 		}
@@ -143,11 +159,17 @@ func TestWorkerCountDeterminismPRAM(t *testing.T) {
 	run := func(w int) (rowMin, stairMin pramRun) {
 		mach := NewPRAM(CRCW, n)
 		mach.SetWorkers(w)
-		idx := MustRowMinimaPRAM(mach, monge)
+		idx, err := RowMinimaPRAM(mach, monge)
+		if err != nil {
+			t.Fatalf("RowMinima workers=%d: %v", w, err)
+		}
 		rowMin = pramRun{idx, mach.Time(), mach.Steps(), mach.Work()}
 		mach = NewPRAM(CRCW, n)
 		mach.SetWorkers(w)
-		idx = MustStaircaseRowMinimaPRAM(mach, stair)
+		idx, err = StaircaseRowMinimaPRAM(mach, stair)
+		if err != nil {
+			t.Fatalf("StaircaseRowMinima workers=%d: %v", w, err)
+		}
 		stairMin = pramRun{idx, mach.Time(), mach.Steps(), mach.Work()}
 		return rowMin, stairMin
 	}

@@ -19,10 +19,9 @@ func main() {
 	})
 	fmt.Println("IsMonge:", monge.IsMonge(a))
 
-	// Sequential: Theta(m+n) row minima via SMAWK. The error-returning
-	// form screens the input with a cheap sampled Monge validator and
-	// returns typed errors (monge.ErrNotMonge etc.); MustRowMinima skips
-	// the screen for arrays that are Monge by construction.
+	// Sequential: Theta(m+n) row minima via SMAWK. Every entry point
+	// screens its input with a cheap sampled Monge validator and returns
+	// typed errors (monge.ErrNotMonge etc.).
 	idx, err := monge.RowMinima(a)
 	if err != nil {
 		panic(err)

@@ -41,7 +41,10 @@ func TestFaultConformanceRowMinima(t *testing.T) {
 		v[i], w[i] = float64(i), float64(i)
 	}
 	f := func(vi, wj float64) float64 { return a.At(int(vi), int(wj)) }
-	want := MustRowMinima(a)
+	want, err := RowMinima(a)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	for _, rate := range faultRates {
 		for _, mode := range []Mode{CRCW, CREW} {
@@ -80,8 +83,14 @@ func TestFaultConformanceRowMinima(t *testing.T) {
 
 func TestFaultConformanceTubeMaxima(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	c := MustNewComposite(marray.RandomMonge(rng, 6, 6), marray.RandomMonge(rng, 6, 6))
-	wantJ, wantV := MustTubeMaxima(c)
+	c, err := NewComposite(marray.RandomMonge(rng, 6, 6), marray.RandomMonge(rng, 6, 6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantJ, wantV, err := TubeMaxima(c)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	same := func(t *testing.T, label string, gotJ [][]int, gotV [][]float64) {
 		t.Helper()

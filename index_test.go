@@ -91,7 +91,7 @@ func TestDriverPoolIndexQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dp := NewDriverPool(CRCW, 2)
+	dp := NewDriverPoolOpts(CRCW, PoolOptions{Workers: 2})
 	defer dp.Close()
 
 	ctx := context.Background()

@@ -109,7 +109,8 @@ func TestNativeDriverStats(t *testing.T) {
 	d := NewWithBackend(pram.CRCW, BackendNative)
 	defer d.Close()
 	a := marray.RandomMonge(rand.New(rand.NewSource(2)), 32, 48)
-	idx, st := d.RowMinimaStats(a)
+	var idx []int
+	st := d.QueryStats(a.Cols(), func() { idx = d.RowMinima(a) })
 	want := smawk.RowMinima(a)
 	for i := range want {
 		if idx[i] != want[i] {

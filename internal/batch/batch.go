@@ -1,16 +1,17 @@
-// Package batch amortizes simulated-machine construction across many
-// searches. The facade entry points build a fresh PRAM per query, which
-// means every query pays the machine's warm-up allocations: write-buffer
-// shards, scratch arrays, child-machine shells. A Driver instead keeps
-// one machine per shape class (one per distinct processor count) and
-// routes every query of that shape through it, so the per-machine arenas
-// (see internal/pram) reach steady state once and every later query of
-// the same shape runs essentially allocation-free.
+// Package batch amortizes simulated-machine construction across the
+// query stream of one serving worker. A fresh machine pays its warm-up
+// allocations (write-buffer shards, scratch arrays, child-machine
+// shells) on its first query. A facade caller avoids that by keeping
+// its *PRAM across calls; a serving worker sees queries of many shapes,
+// so a Driver keeps one machine per shape class (one per distinct
+// processor count) and routes every query of that shape through it. The
+// per-machine arenas (see internal/pram) reach steady state once and
+// every later query of the same shape runs essentially allocation-free.
 //
 // A Driver is NOT goroutine-safe: queries share machines and their
 // arenas. The serving layer (internal/serve) gets concurrency by giving
 // each worker goroutine a private Driver and sharding the query stream
-// across them. Batched results are index-exact with the one-at-a-time
+// across them. Driver answers are index-exact with one-query-per-machine
 // facade calls — the fuzz and table tests in this package and in the
 // root package are the guard.
 //
@@ -50,7 +51,8 @@ const (
 	BackendNative
 )
 
-// String names the backend as the -backend flag spells it.
+// String names the backend ("pram" or "native"), as subtest and
+// benchmark names spell it.
 func (b Backend) String() string {
 	if b == BackendNative {
 		return "native"
@@ -309,12 +311,6 @@ func checkOut(a marray.Matrix, out []int) {
 	}
 }
 
-// RowMinimaStats is RowMinima plus the per-query cost snapshot.
-func (d *Driver) RowMinimaStats(a marray.Matrix) (idx []int, st QueryStats) {
-	st = d.QueryStats(a.Cols(), func() { idx = d.RowMinima(a) })
-	return idx, st
-}
-
 // StaircaseRowMinima computes the leftmost finite row minima of the
 // staircase-Monge array a (Theorem 2.3) on the machine retained for a's
 // shape class.
@@ -326,16 +322,6 @@ func (d *Driver) StaircaseRowMinima(a marray.Matrix) []int {
 	return core.StaircaseRowMinima(d.machineFor(a.Cols()), a)
 }
 
-// RowMinimaBatch answers every query through the per-shape machines.
-// Results are index-exact with len(as) independent facade calls.
-func (d *Driver) RowMinimaBatch(as []marray.Matrix) [][]int {
-	out := make([][]int, len(as))
-	for i, a := range as {
-		out[i] = d.RowMinima(a)
-	}
-	return out
-}
-
 // TubeMaxima solves the tube-maxima problem for the Monge-composite
 // array c on the machine retained for c's shape class.
 func (d *Driver) TubeMaxima(c marray.Composite) ([][]int, [][]float64) {
@@ -344,17 +330,6 @@ func (d *Driver) TubeMaxima(c marray.Composite) ([][]int, [][]float64) {
 		return native.TubeMaxima(d.ctx, d.nativePool(), c)
 	}
 	return core.TubeMaxima(d.machineFor(2*c.Q()*c.R()), c)
-}
-
-// TubeMaximaBatch answers every tube query through the per-shape
-// machines, index-exact with independent facade calls.
-func (d *Driver) TubeMaximaBatch(cs []marray.Composite) ([][][]int, [][][]float64) {
-	argJ := make([][][]int, len(cs))
-	vals := make([][][]float64, len(cs))
-	for i, c := range cs {
-		argJ[i], vals[i] = d.TubeMaxima(c)
-	}
-	return argJ, vals
 }
 
 // Close resets every retained machine, releasing the scratch arenas and

@@ -10,9 +10,10 @@ import (
 	"monge/internal/smawk"
 )
 
-// Batched answers must be index-exact with both the sequential oracle
-// and a fresh-machine-per-query run, across mixed shapes (so the driver
-// juggles several shape classes at once) and tie-heavy integer arrays.
+// Answers from one driver's retained machines must be index-exact with
+// both the sequential oracle and a fresh-machine-per-query run, across
+// mixed shapes (so the driver juggles several shape classes at once) and
+// tie-heavy integer arrays.
 func TestRowMinimaBatchMatchesSingle(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	shapes := []struct{ m, n int }{
@@ -25,7 +26,10 @@ func TestRowMinimaBatchMatchesSingle(t *testing.T) {
 	}
 	d := New(pram.CRCW)
 	defer d.Close()
-	got := d.RowMinimaBatch(as)
+	got := make([][]int, len(as))
+	for i, a := range as {
+		got[i] = d.RowMinima(a)
+	}
 	for i, a := range as {
 		want := smawk.RowMinima(a)
 		fresh := core.RowMinima(pram.New(pram.CRCW, a.Cols()), a)
@@ -49,7 +53,11 @@ func TestTubeMaximaBatchMatchesSingle(t *testing.T) {
 	}
 	d := New(pram.CREW)
 	defer d.Close()
-	argJ, vals := d.TubeMaximaBatch(cs)
+	argJ := make([][][]int, len(cs))
+	vals := make([][][]float64, len(cs))
+	for i, c := range cs {
+		argJ[i], vals[i] = d.TubeMaxima(c)
+	}
 	for i, c := range cs {
 		wantJ, wantV := smawk.TubeMaxima(c)
 		for x := range wantJ {
@@ -166,7 +174,8 @@ func TestQueryStats(t *testing.T) {
 
 	d := New(pram.CRCW)
 	defer d.Close()
-	idx, st := d.RowMinimaStats(a)
+	var idx []int
+	st := d.QueryStats(a.Cols(), func() { idx = d.RowMinima(a) })
 	want := smawk.RowMinima(a)
 	for i := range want {
 		if idx[i] != want[i] {

@@ -19,6 +19,7 @@
 package checkbounds
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"math/rand"
@@ -55,8 +56,10 @@ type Spec struct {
 	Sizes []int  // ladder of problem sizes, ascending
 	Seed  int64  // per-row input seed
 
-	Bound func(n int) float64                  // bound(n) of the claim
-	Run   func(rng *rand.Rand, n int) Measured // one measurement
+	Bound func(n int) float64 // bound(n) of the claim
+	// Run takes one measurement. A cancellable ctx is attached to the
+	// machines it builds, so a cancelled run throws merr.ErrCanceled.
+	Run func(ctx context.Context, rng *rand.Rand, n int) Measured
 }
 
 // Point is one measured ladder point of a row. It holds only the
@@ -104,6 +107,16 @@ func lg(n int) float64 { return float64(pram.Log2Ceil(n)) }
 
 func lglglg(n int) float64 { return lg(n) * float64(pram.LogLog2Ceil(n)) }
 
+// withCtx attaches ctx to mach when ctx can be cancelled. A background
+// context attaches nothing, so the gate's machines keep the dispatch
+// path they are measured on.
+func withCtx[M interface{ SetContext(context.Context) }](ctx context.Context, mach M) M {
+	if ctx.Done() != nil {
+		mach.SetContext(ctx)
+	}
+	return mach
+}
+
 func idxVec(n int) []int {
 	v := make([]int, n)
 	for i := range v {
@@ -120,35 +133,35 @@ func Rows() []Spec {
 	tube := []int{64, 128, 256}
 	tubeHC := []int{32, 64, 128}
 
-	t11pram := func(mode pram.Mode, procs func(n int) int) func(*rand.Rand, int) Measured {
-		return func(rng *rand.Rand, n int) Measured {
+	t11pram := func(mode pram.Mode, procs func(n int) int) func(context.Context, *rand.Rand, int) Measured {
+		return func(ctx context.Context, rng *rand.Rand, n int) Measured {
 			a := marray.RandomMonge(rng, n, n)
-			mach := pram.New(mode, procs(n))
+			mach := withCtx(ctx, pram.New(mode, procs(n)))
 			core.MongeRowMaxima(mach, a)
 			return Measured{Time: mach.Time(), Procs: int64(mach.Procs()), Work: mach.Work()}
 		}
 	}
-	t11net := func(kind hc.Kind) func(*rand.Rand, int) Measured {
-		return func(rng *rand.Rand, n int) Measured {
+	t11net := func(kind hc.Kind) func(context.Context, *rand.Rand, int) Measured {
+		return func(ctx context.Context, rng *rand.Rand, n int) Measured {
 			a := marray.RandomMonge(rng, n, n)
-			mach := hcmonge.MachineFor(kind, n, n)
+			mach := withCtx(ctx, hcmonge.MachineFor(kind, n, n))
 			hcmonge.MongeRowMaximaOn(mach, idxVec(n), idxVec(n),
 				func(i, j int) float64 { return a.At(i, j) })
 			return Measured{Time: mach.Time(), Procs: int64(mach.Size()), Work: mach.Work()}
 		}
 	}
-	t12pram := func(mode pram.Mode, procs func(n int) int) func(*rand.Rand, int) Measured {
-		return func(rng *rand.Rand, n int) Measured {
+	t12pram := func(mode pram.Mode, procs func(n int) int) func(context.Context, *rand.Rand, int) Measured {
+		return func(ctx context.Context, rng *rand.Rand, n int) Measured {
 			a := marray.RandomStaircaseMonge(rng, n, n)
-			mach := pram.New(mode, procs(n))
+			mach := withCtx(ctx, pram.New(mode, procs(n)))
 			core.StaircaseRowMinima(mach, a)
 			return Measured{Time: mach.Time(), Procs: int64(mach.Procs()), Work: mach.Work()}
 		}
 	}
-	t13pram := func(mode pram.Mode) func(*rand.Rand, int) Measured {
-		return func(rng *rand.Rand, n int) Measured {
+	t13pram := func(mode pram.Mode) func(context.Context, *rand.Rand, int) Measured {
+		return func(ctx context.Context, rng *rand.Rand, n int) Measured {
 			c := marray.RandomComposite(rng, n, n, n)
-			mach := pram.New(mode, 2*n*n)
+			mach := withCtx(ctx, pram.New(mode, 2*n*n))
 			core.TubeMaxima(mach, c)
 			return Measured{Time: mach.Time(), Procs: int64(mach.Procs()), Work: mach.Work()}
 		}
@@ -182,13 +195,13 @@ func Rows() []Spec {
 			Run: t12pram(pram.CREW, crewProcs)},
 		{Table: "1.2", Row: 3, Model: "hypercube", Name: "staircase row minima",
 			Claim: "O(lg n lglg n)", Sizes: dense, Seed: 1203, Bound: lglglg,
-			Run: func(rng *rand.Rand, n int) Measured {
+			Run: func(ctx context.Context, rng *rand.Rand, n int) Measured {
 				a := marray.RandomStaircaseMonge(rng, n, n)
 				bounds := make([]int, n)
 				for i := 0; i < n; i++ {
 					bounds[i] = marray.BoundaryOf(a, i)
 				}
-				mach := hcmonge.MachineFor(hc.Cube, n, n)
+				mach := withCtx(ctx, hcmonge.MachineFor(hc.Cube, n, n))
 				hcmonge.StaircaseRowMinimaOn(mach, idxVec(n), bounds, idxVec(n),
 					func(i, j int) float64 { return a.At(i, j) })
 				return Measured{Time: mach.Time(), Procs: int64(mach.Size()), Work: mach.Work()}
@@ -202,9 +215,9 @@ func Rows() []Spec {
 			Run: t13pram(pram.CREW)},
 		{Table: "1.3", Row: 3, Model: "hypercube", Name: "tube maxima",
 			Claim: "Theta(lg n)", Sizes: tubeHC, Seed: 1303, Bound: lg,
-			Run: func(rng *rand.Rand, n int) Measured {
+			Run: func(ctx context.Context, rng *rand.Rand, n int) Measured {
 				c := marray.RandomComposite(rng, n, n, n)
-				mach := hcmonge.TubeMachineFor(hc.Cube, c)
+				mach := withCtx(ctx, hcmonge.TubeMachineFor(hc.Cube, c))
 				hcmonge.TubeMaximaOn(mach, c)
 				return Measured{Time: mach.Time(), Procs: int64(mach.Size()), Work: mach.Work()}
 			}},
@@ -214,8 +227,9 @@ func Rows() []Spec {
 // Measure runs one row's ladder (sizes above maxN are skipped when
 // maxN > 0) and computes its flatness verdict. The row's rng stream is
 // consumed in ladder order, so trimming the ladder never changes the
-// measurements of the sizes that remain.
-func Measure(s Spec, maxN int, tol float64) Result {
+// measurements of the sizes that remain. Cancelling ctx aborts the run
+// at the next superstep with a thrown merr.ErrCanceled.
+func Measure(ctx context.Context, s Spec, maxN int, tol float64) Result {
 	res := Result{Table: s.Table, Row: s.Row, Model: s.Model, Name: s.Name,
 		Claim: s.Claim, Seed: s.Seed}
 	rng := rand.New(rand.NewSource(s.Seed))
@@ -223,7 +237,7 @@ func Measure(s Spec, maxN int, tol float64) Result {
 		if maxN > 0 && n > maxN {
 			break
 		}
-		m := s.Run(rng, n)
+		m := s.Run(ctx, rng, n)
 		b := s.Bound(n)
 		res.Points = append(res.Points, Point{
 			N: n, Time: m.Time, Procs: m.Procs, Work: m.Work,
@@ -255,7 +269,7 @@ func flatness(pts []Point) float64 {
 func MeasureAll(maxN int, tol float64) Report {
 	rep := Report{Schema: Schema, Tolerance: tol, MaxN: maxN}
 	for _, s := range Rows() {
-		rep.Rows = append(rep.Rows, Measure(s, maxN, tol))
+		rep.Rows = append(rep.Rows, Measure(context.Background(), s, maxN, tol))
 	}
 	return rep
 }

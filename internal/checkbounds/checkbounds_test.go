@@ -2,6 +2,7 @@ package checkbounds
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -36,8 +37,8 @@ func TestRowsCoverAllTables(t *testing.T) {
 // sizes.
 func TestMeasureDeterministicAndTrimmed(t *testing.T) {
 	spec := Rows()[0] // Table 1.1 CRCW — the fastest row
-	full := Measure(spec, 256, Tolerance)
-	again := Measure(spec, 256, Tolerance)
+	full := Measure(context.Background(), spec, 256, Tolerance)
+	again := Measure(context.Background(), spec, 256, Tolerance)
 	if len(full.Points) != 2 {
 		t.Fatalf("maxN=256 kept %d points, want 2", len(full.Points))
 	}
@@ -46,7 +47,7 @@ func TestMeasureDeterministicAndTrimmed(t *testing.T) {
 			t.Fatalf("rerun diverged at point %d: %+v vs %+v", i, full.Points[i], again.Points[i])
 		}
 	}
-	trimmed := Measure(spec, 128, Tolerance)
+	trimmed := Measure(context.Background(), spec, 128, Tolerance)
 	if len(trimmed.Points) != 1 || trimmed.Points[0] != full.Points[0] {
 		t.Fatalf("trimming the ladder changed the first point: %+v vs %+v",
 			trimmed.Points, full.Points[0])

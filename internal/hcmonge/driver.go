@@ -54,7 +54,7 @@ func RowMinima[V, W any](kind hc.Kind, v []V, w []W, f EntryFunc[V, W]) ([]int, 
 }
 
 // RowMinimaOn is RowMinima on a caller-provided machine — the form that
-// lets the caller attach a context, fault injector, sink, or private pool
+// lets the caller attach a context, fault injector, or private pool
 // before the run. The machine must be at least MachineFor-sized for the
 // inputs (merr.ErrMachineTooSmall is thrown otherwise).
 func RowMinimaOn[V, W any](mach *hc.Machine, v []V, w []W, f EntryFunc[V, W]) []int {

@@ -53,37 +53,6 @@ func TestNativeConcurrentPoolMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestNativeStreamMatchesSequential covers ordered streaming on the
-// native backend: results arrive in submission order and match the PRAM
-// oracle.
-func TestNativeStreamMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	var as []marray.Matrix
-	for i := 0; i < 12; i++ {
-		as = append(as, asFunc(marray.RandomMonge(rng, 20+i, 17)))
-	}
-	oracle := batch.New(pram.CRCW)
-	defer oracle.Close()
-	p := New(pram.CRCW, Options{Workers: 3, Backend: batch.BackendNative})
-	defer p.Close()
-	i := 0
-	for res := range p.RowMinimaStream(as) {
-		if res.Err != nil {
-			t.Fatalf("stream result %d: %v", i, res.Err)
-		}
-		want := oracle.RowMinima(as[i])
-		for r := range want {
-			if res.Idx[r] != want[r] {
-				t.Fatalf("stream result %d row %d: native %d, pram %d", i, r, res.Idx[r], want[r])
-			}
-		}
-		i++
-	}
-	if i != len(as) {
-		t.Fatalf("stream yielded %d results, want %d", i, len(as))
-	}
-}
-
 // TestNativePoolCancellation: a cancelled pool context resolves native
 // tickets with ErrCanceled, same contract as the PRAM backend.
 func TestNativePoolCancellation(t *testing.T) {

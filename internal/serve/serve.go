@@ -172,14 +172,6 @@ func (t *Ticket) Result() Result {
 	return t.res
 }
 
-// errTicket returns an already-resolved ticket carrying err, so stream
-// consumers see submission failures in-band.
-func errTicket(err error) *Ticket {
-	t := &Ticket{done: make(chan struct{}), res: Result{Err: err}}
-	close(t.done)
-	return t
-}
-
 // Options configures a Pool. The zero value is usable: GOMAXPROCS
 // workers, background context, inherited fault injector.
 type Options struct {
@@ -438,32 +430,6 @@ func (p *Pool) submit(ctx context.Context, q Query, wait bool) (*Ticket, error) 
 		p.obsC.Store(obs.QueueDepth, depth)
 	}
 	return t, nil
-}
-
-// RowMinimaStream submits one row-minima query per matrix and returns a
-// channel yielding results in submission order, closed after the last.
-// Submission failures (a pool closed mid-stream) arrive in-band as
-// results with Err set, keeping the channel aligned with the input.
-func (p *Pool) RowMinimaStream(as []marray.Matrix) <-chan Result {
-	tickets := make(chan *Ticket, p.workers)
-	go func() {
-		defer close(tickets)
-		for _, a := range as {
-			t, err := p.Submit(Query{Kind: RowMinima, A: a})
-			if err != nil {
-				t = errTicket(err)
-			}
-			tickets <- t
-		}
-	}()
-	out := make(chan Result)
-	go func() {
-		defer close(out)
-		for t := range tickets {
-			out <- t.Result()
-		}
-	}()
-	return out
 }
 
 // Wait blocks until every query submitted so far has resolved. The pool

@@ -138,37 +138,6 @@ func TestConcurrentPoolMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestConcurrentStreamMatchesSequential covers the ordered streaming
-// front end under -race: results arrive in submission order and match
-// the sequential oracle.
-func TestConcurrentStreamMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	var as []marray.Matrix
-	for i := 0; i < 12; i++ {
-		as = append(as, asFunc(marray.RandomMonge(rng, 20+i, 17)))
-	}
-	p := New(pram.CRCW, Options{Workers: 3})
-	defer p.Close()
-	i := 0
-	for res := range p.RowMinimaStream(as) {
-		if res.Err != nil {
-			t.Fatalf("stream result %d: %v", i, res.Err)
-		}
-		d := batch.New(pram.CRCW)
-		want := d.RowMinima(as[i])
-		d.Close()
-		for r := range want {
-			if res.Idx[r] != want[r] {
-				t.Fatalf("stream result %d row %d: %d, want %d", i, r, res.Idx[r], want[r])
-			}
-		}
-		i++
-	}
-	if i != len(as) {
-		t.Fatalf("stream yielded %d results, want %d", i, len(as))
-	}
-}
-
 // waitGoroutines polls until the live goroutine count drops to limit,
 // mirroring the exec.Pool leak tests.
 func waitGoroutines(t *testing.T, limit int) {
@@ -226,18 +195,6 @@ func TestPoolDoubleClose(t *testing.T) {
 	}
 	if _, err := p.Submit(Query{Kind: RowMinima, A: marray.RandomMonge(rng, 8, 8)}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Submit after Close: err=%v, want ErrClosed", err)
-	}
-	// Streams over a closed pool must stay aligned: every input yields an
-	// in-band ErrClosed result.
-	n := 0
-	for res := range p.RowMinimaStream([]marray.Matrix{marray.RandomMonge(rng, 8, 8)}) {
-		if !errors.Is(res.Err, ErrClosed) {
-			t.Fatalf("stream on closed pool: err=%v, want ErrClosed", res.Err)
-		}
-		n++
-	}
-	if n != 1 {
-		t.Fatalf("stream on closed pool yielded %d results, want 1", n)
 	}
 }
 

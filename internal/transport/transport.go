@@ -56,16 +56,6 @@ func Greedy(a, b []float64, c marray.Matrix) (cost float64, flows []Flow, err er
 	return cost, flows, nil
 }
 
-// MustGreedy is Greedy for callers with statically balanced inputs; it
-// panics (with the typed error) on an unbalanced problem.
-func MustGreedy(a, b []float64, c marray.Matrix) (cost float64, flows []Flow) {
-	cost, flows, err := Greedy(a, b, c)
-	if err != nil {
-		merr.Throw(err)
-	}
-	return cost, flows
-}
-
 // Optimal solves the transportation problem exactly by successive
 // shortest paths (Bellman-Ford with potentials), for arbitrary costs.
 // Intended as the test oracle; O(V*E*flow-phases).

@@ -117,17 +117,6 @@ func TestMLinkPathFacade(t *testing.T) {
 	if err != nil || !math.IsInf(cost, 1) || path != nil {
 		t.Fatalf("M>n: (%g, %v, %v), want (+Inf, nil, nil)", cost, path, err)
 	}
-
-	// MustMinPlus / MustMLinkPath happy paths agree with the checked API.
-	p := MustMinPlus(marray.RandomMongeInt(rng, 9, 9, 4), marray.RandomMongeInt(rng, 9, 9, 4))
-	if p.Rows() != 9 || p.Cols() != 9 {
-		t.Fatalf("MustMinPlus product %dx%d, want 9x9", p.Rows(), p.Cols())
-	}
-	mc, mp := MustMLinkPath(n, w, 4)
-	cc, cp, err := MLinkPath(n, w, 4)
-	if err != nil || mc != cc || len(mp) != len(cp) {
-		t.Fatalf("Must vs checked: (%g, %v) vs (%g, %v, %v)", mc, mp, cc, cp, err)
-	}
 }
 
 // TestDriverPoolMinPlus covers the pool surface of the (min,+) kinds:
@@ -140,7 +129,7 @@ func TestDriverPoolMinPlus(t *testing.T) {
 	n := 24
 	w := mlinkTestWeight(rng, n)
 
-	dp := NewDriverPool(CRCW, 2)
+	dp := NewDriverPoolOpts(CRCW, PoolOptions{Workers: 2})
 	defer dp.Close()
 
 	ctx := context.Background()

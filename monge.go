@@ -22,12 +22,10 @@
 //	idx, err = StaircaseRowMinima(a)  // leftmost finite row minima of a staircase-Monge array
 //	tub, _, err := TubeMaxima(c)      // per-(i,k) best middle coordinate of a Monge-composite array
 //
-// The error-returning entry points screen their input with cheap sampled
-// structural validators and return typed errors (ErrNotMonge,
-// ErrDimensionMismatch, ...; match with errors.Is). The Must* variants
-// (MustRowMinima etc.) skip validation and panic with the typed error on
-// conditions detected during the computation — the zero-overhead form for
-// inputs that are Monge by construction.
+// Each problem has one entry point per machine model. It screens its
+// input with a cheap sampled structural validator and returns typed
+// errors (ErrNotMonge, ErrDimensionMismatch, ...; match with errors.Is),
+// both for the screen and for conditions detected during the computation.
 //
 // Parallel counterparts run on simulated machines:
 //
@@ -38,6 +36,10 @@
 // and on distributed-memory networks (hypercube, CCC, shuffle-exchange)
 // via the hcmonge subpackage-backed entry points RowMinimaHypercube etc.
 // (Theorems 3.2-3.4, Tables 1.1-1.3 "hypercube, etc." rows).
+//
+// A machine can serve any number of calls: its scratch arenas reach
+// steady state on the first query, so later queries of the same shape
+// run essentially allocation-free. DriverPool serves concurrent callers.
 //
 // The machines expose Time, Work, and communication counters; those
 // counters are what the repository's benchmark harness compares against
@@ -103,10 +105,6 @@ func NewComposite(d, e Matrix) (Composite, error) {
 	return c, err
 }
 
-// MustNewComposite is NewComposite panicking with the typed error on a
-// dimension mismatch.
-func MustNewComposite(d, e Matrix) Composite { return marray.NewComposite(d, e) }
-
 // IsMonge reports whether a satisfies the Monge inequality.
 func IsMonge(a Matrix) bool { return marray.IsMonge(a) }
 
@@ -155,12 +153,9 @@ func ReverseRows(a Matrix) Matrix { return marray.ReverseRows(a) }
 
 // --- Sequential searching -------------------------------------------------
 //
-// Each problem has two forms. The error-returning form screens the input
-// with the corresponding sampled validator — O(m+n) deterministic probes
-// that never reject a valid array — and recovers any typed condition the
-// computation throws. The Must* form skips validation entirely (identical
-// cost to the pre-error API) and panics with the typed error instead,
-// for inputs that carry the structure by construction.
+// Every entry point screens its input with the corresponding sampled
+// validator — O(m+n) deterministic probes that never reject a valid array
+// — and recovers any typed condition the computation throws.
 
 // RowMinima returns the leftmost row minima of a Monge array in
 // Theta(m+n) time (SMAWK). Inputs failing the sampled Monge screen return
@@ -173,9 +168,6 @@ func RowMinima(a Matrix) (idx []int, err error) {
 	return idx, err
 }
 
-// MustRowMinima is RowMinima without the validation screen.
-func MustRowMinima(a Matrix) []int { return smawk.RowMinima(a) }
-
 // RowMaxima returns the leftmost row maxima of an inverse-Monge array.
 // Inputs failing the sampled inverse-Monge screen return
 // ErrNotInverseMonge.
@@ -187,9 +179,6 @@ func RowMaxima(a Matrix) (idx []int, err error) {
 	return idx, err
 }
 
-// MustRowMaxima is RowMaxima without the validation screen.
-func MustRowMaxima(a Matrix) []int { return smawk.RowMaxima(a) }
-
 // MongeRowMaxima returns the leftmost row maxima of a Monge array (the
 // Table 1.1 problem).
 func MongeRowMaxima(a Matrix) (idx []int, err error) {
@@ -199,9 +188,6 @@ func MongeRowMaxima(a Matrix) (idx []int, err error) {
 	err = catchInto(func() { idx = smawk.MongeRowMaxima(a) })
 	return idx, err
 }
-
-// MustMongeRowMaxima is MongeRowMaxima without the validation screen.
-func MustMongeRowMaxima(a Matrix) []int { return smawk.MongeRowMaxima(a) }
 
 // StaircaseRowMinima returns the leftmost finite row minima of a
 // staircase-Monge array (-1 for fully blocked rows). Inputs failing the
@@ -213,10 +199,6 @@ func StaircaseRowMinima(a Matrix) (idx []int, err error) {
 	err = catchInto(func() { idx = smawk.StaircaseRowMinima(a) })
 	return idx, err
 }
-
-// MustStaircaseRowMinima is StaircaseRowMinima without the validation
-// screen.
-func MustStaircaseRowMinima(a Matrix) []int { return smawk.StaircaseRowMinima(a) }
 
 // TubeMaxima returns, per (i,k) tube of a Monge-composite array, the
 // smallest maximising middle coordinate and the maxima values. Factor
@@ -232,9 +214,6 @@ func TubeMaxima(c Composite) (idx [][]int, vals [][]float64, err error) {
 	return idx, vals, err
 }
 
-// MustTubeMaxima is TubeMaxima without the validation screen.
-func MustTubeMaxima(c Composite) ([][]int, [][]float64) { return smawk.TubeMaxima(c) }
-
 // TubeMinima is the minimisation analogue for inverse-Monge factors
 // (ErrNotInverseMonge on the sampled screen).
 func TubeMinima(c Composite) (idx [][]int, vals [][]float64, err error) {
@@ -247,9 +226,6 @@ func TubeMinima(c Composite) (idx [][]int, vals [][]float64, err error) {
 	err = catchInto(func() { idx, vals = smawk.TubeMinima(c) })
 	return idx, vals, err
 }
-
-// MustTubeMinima is TubeMinima without the validation screen.
-func MustTubeMinima(c Composite) ([][]int, [][]float64) { return smawk.TubeMinima(c) }
 
 // --- PRAM -----------------------------------------------------------------
 
@@ -282,10 +258,6 @@ func RowMinimaPRAM(mach *PRAM, a Matrix) (idx []int, err error) {
 	return idx, err
 }
 
-// MustRowMinimaPRAM is RowMinimaPRAM without the validation screen,
-// panicking with the typed error on simulation conditions.
-func MustRowMinimaPRAM(mach *PRAM, a Matrix) []int { return core.RowMinima(mach, a) }
-
 // RowMaximaPRAM computes leftmost row maxima of an inverse-Monge array.
 func RowMaximaPRAM(mach *PRAM, a Matrix) (idx []int, err error) {
 	if err = marray.CheckInverseMongeSampled(a); err != nil {
@@ -294,9 +266,6 @@ func RowMaximaPRAM(mach *PRAM, a Matrix) (idx []int, err error) {
 	err = catchInto(func() { idx = core.RowMaxima(mach, a) })
 	return idx, err
 }
-
-// MustRowMaximaPRAM is RowMaximaPRAM without the validation screen.
-func MustRowMaximaPRAM(mach *PRAM, a Matrix) []int { return core.RowMaxima(mach, a) }
 
 // MongeRowMaximaPRAM computes leftmost row maxima of a Monge array
 // (Table 1.1's problem statement).
@@ -308,10 +277,6 @@ func MongeRowMaximaPRAM(mach *PRAM, a Matrix) (idx []int, err error) {
 	return idx, err
 }
 
-// MustMongeRowMaximaPRAM is MongeRowMaximaPRAM without the validation
-// screen.
-func MustMongeRowMaximaPRAM(mach *PRAM, a Matrix) []int { return core.MongeRowMaxima(mach, a) }
-
 // StaircaseRowMinimaPRAM is Theorem 2.3: leftmost finite row minima of a
 // staircase-Monge array, O(lg n) charged CRCW time with n processors
 // (Table 1.2).
@@ -321,12 +286,6 @@ func StaircaseRowMinimaPRAM(mach *PRAM, a Matrix) (idx []int, err error) {
 	}
 	err = catchInto(func() { idx = core.StaircaseRowMinima(mach, a) })
 	return idx, err
-}
-
-// MustStaircaseRowMinimaPRAM is StaircaseRowMinimaPRAM without the
-// validation screen.
-func MustStaircaseRowMinimaPRAM(mach *PRAM, a Matrix) []int {
-	return core.StaircaseRowMinima(mach, a)
 }
 
 // TubeMaximaPRAM solves the tube-maxima problem on mach (Table 1.3).
@@ -341,11 +300,6 @@ func TubeMaximaPRAM(mach *PRAM, c Composite) (idx [][]int, vals [][]float64, err
 	return idx, vals, err
 }
 
-// MustTubeMaximaPRAM is TubeMaximaPRAM without the validation screen.
-func MustTubeMaximaPRAM(mach *PRAM, c Composite) ([][]int, [][]float64) {
-	return core.TubeMaxima(mach, c)
-}
-
 // TubeMinimaPRAM is the minimisation analogue for inverse-Monge factors.
 func TubeMinimaPRAM(mach *PRAM, c Composite) (idx [][]int, vals [][]float64, err error) {
 	if err = marray.CheckInverseMongeSampled(c.D); err != nil {
@@ -356,133 +310,6 @@ func TubeMinimaPRAM(mach *PRAM, c Composite) (idx [][]int, vals [][]float64, err
 	}
 	err = catchInto(func() { idx, vals = core.TubeMinima(mach, c) })
 	return idx, vals, err
-}
-
-// MustTubeMinimaPRAM is TubeMinimaPRAM without the validation screen.
-func MustTubeMinimaPRAM(mach *PRAM, c Composite) ([][]int, [][]float64) {
-	return core.TubeMinima(mach, c)
-}
-
-// --- Batched queries --------------------------------------------------------
-
-// BatchDriver amortizes simulated-machine construction across many PRAM
-// searches: it keeps one machine per shape class (distinct processor
-// count) and routes every query of that shape through it, so the
-// machine's scratch arenas reach steady state once and later same-shape
-// queries run essentially allocation-free. Results are index-exact with
-// the corresponding one-at-a-time entry points.
-//
-// A BatchDriver is not goroutine-safe. Call Close when the batch is done
-// to release the retained machines' arenas; the driver is reusable
-// afterwards.
-type BatchDriver struct{ d *batch.Driver }
-
-// NewBatchDriver returns a driver whose machines use the given PRAM mode.
-func NewBatchDriver(mode Mode) *BatchDriver { return &BatchDriver{d: batch.New(mode)} }
-
-// Backend selects the execution engine of a BatchDriver or DriverPool:
-// BackendPRAM (the default) answers queries on the simulated machines of
-// the paper's models, BackendNative directly on goroutines with no
-// simulation overhead. Answers are index-exact across backends — the
-// differential conformance suites enforce it — so the choice trades the
-// simulator's charged-cost observability and fault injection for raw
-// serving speed. See README "Execution backends".
-type Backend = batch.Backend
-
-const (
-	// BackendPRAM serves queries on the simulated PRAM machines.
-	BackendPRAM = batch.BackendPRAM
-	// BackendNative serves queries on native goroutine kernels.
-	BackendNative = batch.BackendNative
-)
-
-// NewBatchDriverBackend returns a driver routing queries to the given
-// backend. For BackendPRAM it is NewBatchDriver; for BackendNative the
-// driver runs internal/native kernels and retains no machines. To select
-// the backend of a DriverPool, set PoolOptions.Backend.
-func NewBatchDriverBackend(mode Mode, be Backend) *BatchDriver {
-	return &BatchDriver{d: batch.NewWithBackend(mode, be)}
-}
-
-// SetContext attaches ctx to every machine the driver holds or later
-// creates; cancellation aborts the running query with ErrCanceled.
-func (b *BatchDriver) SetContext(ctx context.Context) { b.d.SetContext(ctx) }
-
-// RowMinima is RowMinimaPRAM on the driver's machine for a's shape class.
-func (b *BatchDriver) RowMinima(a Matrix) (idx []int, err error) {
-	if err = marray.CheckMongeSampled(a); err != nil {
-		return nil, err
-	}
-	err = catchInto(func() { idx = b.d.RowMinima(a) })
-	return idx, err
-}
-
-// RowMinimaBatch answers every query through the per-shape machines.
-// All inputs are screened before any query runs, so a bad array in the
-// middle of the batch cannot leave half the answers computed.
-func (b *BatchDriver) RowMinimaBatch(as []Matrix) (idx [][]int, err error) {
-	for _, a := range as {
-		if err = marray.CheckMongeSampled(a); err != nil {
-			return nil, err
-		}
-	}
-	err = catchInto(func() { idx = b.d.RowMinimaBatch(as) })
-	return idx, err
-}
-
-// StaircaseRowMinima is StaircaseRowMinimaPRAM on the driver's machine
-// for a's shape class (or the native staircase kernel on BackendNative).
-func (b *BatchDriver) StaircaseRowMinima(a Matrix) (idx []int, err error) {
-	if err = marray.CheckStaircaseMongeSampled(a); err != nil {
-		return nil, err
-	}
-	err = catchInto(func() { idx = b.d.StaircaseRowMinima(a) })
-	return idx, err
-}
-
-// TubeMaxima is TubeMaximaPRAM on the driver's machine for c's shape
-// class (or the native tube kernel on BackendNative).
-func (b *BatchDriver) TubeMaxima(c Composite) (idx [][]int, vals [][]float64, err error) {
-	if err = marray.CheckMongeSampled(c.D); err != nil {
-		return nil, nil, err
-	}
-	if err = marray.CheckMongeSampled(c.E); err != nil {
-		return nil, nil, err
-	}
-	err = catchInto(func() { idx, vals = b.d.TubeMaxima(c) })
-	return idx, vals, err
-}
-
-// TubeMaximaBatch is TubeMaximaPRAM for a batch of Monge-composite
-// arrays, one retained machine per shape class.
-func (b *BatchDriver) TubeMaximaBatch(cs []Composite) (idx [][][]int, vals [][][]float64, err error) {
-	for _, c := range cs {
-		if err = marray.CheckMongeSampled(c.D); err != nil {
-			return nil, nil, err
-		}
-		if err = marray.CheckMongeSampled(c.E); err != nil {
-			return nil, nil, err
-		}
-	}
-	err = catchInto(func() { idx, vals = b.d.TubeMaximaBatch(cs) })
-	return idx, vals, err
-}
-
-// Close resets the retained machines, releasing their scratch arenas.
-// Close is idempotent; the driver is reusable afterwards.
-func (b *BatchDriver) Close() { b.d.Close() }
-
-// QueryStats is the simulated cost one driver query charged to its
-// shape-class machine (the per-query diff of the cumulative counters).
-type QueryStats = batch.QueryStats
-
-// RowMinimaStats is RowMinima plus the query's charged cost.
-func (b *BatchDriver) RowMinimaStats(a Matrix) (idx []int, st QueryStats, err error) {
-	if err = marray.CheckMongeSampled(a); err != nil {
-		return nil, QueryStats{}, err
-	}
-	err = catchInto(func() { idx, st = b.d.RowMinimaStats(a) })
-	return idx, st, err
 }
 
 // --- Monge (min,+) multiplication and M-link paths --------------------------
@@ -510,16 +337,12 @@ func MinPlus(a, b Matrix) (p *MinPlusProduct, err error) {
 	if err = MinPlusRequest(a, b).Query.Screen(); err != nil {
 		return nil, err
 	}
-	err = catchInto(func() { p = MustMinPlus(a, b) })
+	err = catchInto(func() {
+		e := minplus.New(batch.BackendNative)
+		defer e.Close()
+		p = e.Multiply(a, b)
+	})
 	return p, err
-}
-
-// MustMinPlus is MinPlus without the validation screens, panicking with
-// the typed error on conditions detected during the computation.
-func MustMinPlus(a, b Matrix) *MinPlusProduct {
-	e := minplus.New(batch.BackendNative)
-	defer e.Close()
-	return e.Multiply(a, b)
 }
 
 // MLinkPath returns the cost of the cheapest path from node 0 to node
@@ -533,18 +356,15 @@ func MLinkPath(n int, w LinkWeight, M int) (cost float64, path []int, err error)
 	if err = MLinkPathRequest(n, w, M).Query.Screen(); err != nil {
 		return 0, nil, err
 	}
-	err = catchInto(func() { cost, path = MustMLinkPath(n, w, M) })
+	err = catchInto(func() {
+		e := minplus.New(batch.BackendNative)
+		defer e.Close()
+		cost, path = e.MLinkPath(n, w, M)
+	})
 	if err != nil {
 		return 0, nil, err
 	}
 	return cost, path, nil
-}
-
-// MustMLinkPath is MLinkPath without the validation screen.
-func MustMLinkPath(n int, w LinkWeight, M int) (float64, []int) {
-	e := minplus.New(batch.BackendNative)
-	defer e.Close()
-	return e.MLinkPath(n, w, M)
 }
 
 // --- Concurrent serving -----------------------------------------------------
@@ -570,6 +390,22 @@ type PoolTicket = serve.Ticket
 // PoolStats is a snapshot of a DriverPool's serving counters.
 type PoolStats = serve.Stats
 
+// Backend selects the execution engine of a DriverPool (PoolOptions.Backend):
+// BackendPRAM (the default) answers queries on the simulated machines of
+// the paper's models, BackendNative directly on goroutines with no
+// simulation overhead. Answers are index-exact across backends — the
+// differential conformance suites enforce it — so the choice trades the
+// simulator's charged-cost observability and fault injection for raw
+// serving speed. See README "Execution backends".
+type Backend = batch.Backend
+
+const (
+	// BackendPRAM serves queries on the simulated PRAM machines.
+	BackendPRAM = batch.BackendPRAM
+	// BackendNative serves queries on native goroutine kernels.
+	BackendNative = batch.BackendNative
+)
+
 // PoolOptions configures a DriverPool; the zero value means GOMAXPROCS
 // workers, background context, inherited fault injector, fail-fast
 // default admission. Set Admission to shape the
@@ -584,32 +420,22 @@ type PoolAdmission = serve.Admission
 // metadata (tenant for quotas, priority for shedding order).
 type PoolRequest = admit.Request
 
-// DriverPool is the goroutine-safe counterpart of BatchDriver: it
-// shards a stream of queries across worker goroutines, each owning a
-// private BatchDriver-equivalent (so the per-shape machine arenas are
-// never shared) that evaluates the inputs directly. Every query kind
-// enters through one of two calls taking a *Request-built PoolRequest:
-// Submit (a ticket, no admission) or Do (the admission lifecycle).
-// Results are index-exact with the sequential entry points.
-// Submissions may come from any number of goroutines.
-//
-// Use a BatchDriver for a single-goroutine batch; use a DriverPool when
-// queries arrive concurrently or you want to spend multiple cores on a
-// stream of many small queries. See README "Serving queries
-// concurrently" for the decision table.
+// DriverPool shards a stream of queries across worker goroutines, each
+// owning a private driver with one retained machine per shape class (so
+// the per-shape machine arenas are never shared) that evaluates the
+// inputs directly. Every query kind enters through one of two calls
+// taking a *Request-built PoolRequest: Submit (a ticket, no admission)
+// or Do (the admission lifecycle). Results are index-exact with the
+// sequential entry points. Submissions may come from any number of
+// goroutines. See README "Serving queries concurrently".
 type DriverPool struct {
 	p *serve.Pool
 	f *admit.Front
 }
 
-// NewDriverPool returns a running pool with the given PRAM mode and
-// worker count (workers <= 0 means GOMAXPROCS).
-func NewDriverPool(mode Mode, workers int) *DriverPool {
-	return NewDriverPoolOpts(mode, PoolOptions{Workers: workers})
-}
-
-// NewDriverPoolOpts is the fully configurable constructor. The pool
-// always carries an admission front (Do, Front); with opt.Admission nil
+// NewDriverPoolOpts returns a running pool whose machines use the given
+// PRAM mode; opt.Workers <= 0 means GOMAXPROCS shards. The pool always
+// carries an admission front (Do, Front); with opt.Admission nil
 // the front applies the zero policy — fail-fast rejection at the
 // default inflight cap, no quotas, no retries, no hedging.
 func NewDriverPoolOpts(mode Mode, opt PoolOptions) *DriverPool {
@@ -741,38 +567,6 @@ func MLinkPathRequest(n int, w LinkWeight, M int) PoolRequest {
 // deadline-expired, inflight).
 func (dp *DriverPool) Front() *admit.Front { return dp.f }
 
-// RowMinimaStream submits one row-minima query per matrix and returns a
-// channel yielding results in submission order, closed after the last.
-// Matrices failing the sampled screen, and submissions after Close,
-// yield in-band results with Err set so the channel stays aligned with
-// the input slice.
-func (dp *DriverPool) RowMinimaStream(as []Matrix) <-chan PoolResult {
-	// The screens run here, synchronously; failing inputs are dropped
-	// from the submitted slice and their errors re-inserted in order.
-	errs := make([]error, len(as))
-	ok := make([]Matrix, 0, len(as))
-	for i, a := range as {
-		if err := RowMinimaRequest(a).Query.Screen(); err != nil {
-			errs[i] = err
-		} else {
-			ok = append(ok, a)
-		}
-	}
-	inner := dp.p.RowMinimaStream(ok)
-	out := make(chan PoolResult)
-	go func() {
-		defer close(out)
-		for i := range as {
-			if errs[i] != nil {
-				out <- PoolResult{Err: errs[i]}
-				continue
-			}
-			out <- <-inner
-		}
-	}()
-	return out
-}
-
 // Wait blocks until every query submitted so far has resolved; the pool
 // keeps serving afterwards.
 func (dp *DriverPool) Wait() { dp.p.Wait() }
@@ -807,9 +601,9 @@ const (
 type Network = hc.Machine
 
 // NewNetworkFor returns a machine of the given kind sized for an m x n
-// search, for callers that want to attach a context (Network.SetContext),
-// fault injector (Network.SetFaults), or instrumentation sink before
-// passing it to the *Hypercube entry points.
+// search, for callers that want to attach a context (Network.SetContext)
+// or fault injector (Network.SetFaults) before passing it to the
+// *Hypercube entry points.
 func NewNetworkFor(kind NetworkKind, m, n int) *Network {
 	return hcmonge.MachineFor(kind, m, n)
 }
@@ -829,13 +623,6 @@ func RowMinimaHypercube(mach *Network, v, w []float64, f func(vi, wj float64) fl
 	return idx, err
 }
 
-// MustRowMinimaHypercube runs on a freshly sized machine with no
-// validation screen, returning the machine for counter inspection (the
-// pre-error-API form).
-func MustRowMinimaHypercube(kind NetworkKind, v, w []float64, f func(vi, wj float64) float64) ([]int, *Network) {
-	return hcmonge.RowMinima(kind, v, w, f)
-}
-
 // MongeRowMaximaHypercube is the Table 1.1 row-maxima problem on the
 // distributed networks.
 func MongeRowMaximaHypercube(mach *Network, v, w []float64, f func(vi, wj float64) float64) (idx []int, err error) {
@@ -844,12 +631,6 @@ func MongeRowMaximaHypercube(mach *Network, v, w []float64, f func(vi, wj float6
 	}
 	err = catchInto(func() { idx = hcmonge.MongeRowMaximaOn(mach, v, w, f) })
 	return idx, err
-}
-
-// MustMongeRowMaximaHypercube runs on a freshly sized machine with no
-// validation screen.
-func MustMongeRowMaximaHypercube(kind NetworkKind, v, w []float64, f func(vi, wj float64) float64) ([]int, *Network) {
-	return hcmonge.MongeRowMaxima(kind, v, w, f)
 }
 
 // StaircaseRowMinimaHypercube is Theorem 3.3: staircase-Monge row minima
@@ -873,12 +654,6 @@ func StaircaseRowMinimaHypercube(mach *Network, v []float64, bound []int, w []fl
 	return idx, err
 }
 
-// MustStaircaseRowMinimaHypercube runs on a freshly sized machine with no
-// validation screen.
-func MustStaircaseRowMinimaHypercube(kind NetworkKind, v []float64, bound []int, w []float64, f func(vi, wj float64) float64) ([]int, *Network) {
-	return hcmonge.StaircaseRowMinima(kind, v, bound, w, f)
-}
-
 // NewTubeNetworkFor returns a machine of the given kind sized for the tube
 // search on composite c (one subcube per slice of the first dimension).
 func NewTubeNetworkFor(kind NetworkKind, c Composite) *Network {
@@ -897,12 +672,6 @@ func TubeMaximaHypercube(mach *Network, c Composite) (idx [][]int, vals [][]floa
 	}
 	err = catchInto(func() { idx, vals = hcmonge.TubeMaximaOn(mach, c) })
 	return idx, vals, err
-}
-
-// MustTubeMaximaHypercube runs on a freshly sized machine with no
-// validation screen.
-func MustTubeMaximaHypercube(kind NetworkKind, c Composite) ([][]int, [][]float64, *Network) {
-	return hcmonge.TubeMaxima(kind, c)
 }
 
 // distArray views the distributed inputs as the implicit matrix they

@@ -16,18 +16,18 @@ func TestFacadeSequential(t *testing.T) {
 	if !IsMonge(a) {
 		t.Fatal("test array should be Monge")
 	}
-	if got := MustRowMinima(a); got[0] != 1 || got[1] != 1 || got[2] != 1 {
-		t.Fatalf("RowMinima = %v", got)
+	if got, err := RowMinima(a); err != nil || got[0] != 1 || got[1] != 1 || got[2] != 1 {
+		t.Fatalf("RowMinima = %v, %v", got, err)
 	}
-	if got := MustMongeRowMaxima(a); got[0] != 2 || got[2] != 0 {
-		t.Fatalf("MongeRowMaxima = %v", got)
+	if got, err := MongeRowMaxima(a); err != nil || got[0] != 2 || got[2] != 0 {
+		t.Fatalf("MongeRowMaxima = %v, %v", got, err)
 	}
 	inv := Negate(a)
 	if !IsInverseMonge(inv) {
 		t.Fatal("negation should be inverse-Monge")
 	}
-	if got := MustRowMaxima(inv); got[1] != 1 {
-		t.Fatalf("RowMaxima = %v", got)
+	if got, err := RowMaxima(inv); err != nil || got[1] != 1 {
+		t.Fatalf("RowMaxima = %v, %v", got, err)
 	}
 }
 
@@ -39,12 +39,15 @@ func TestFacadeStaircase(t *testing.T) {
 	if !IsStaircaseMonge(s) {
 		t.Fatal("stair should be staircase-Monge")
 	}
-	idx := MustStaircaseRowMinima(s)
-	if len(idx) != 3 {
-		t.Fatal("length wrong")
+	idx, err := StaircaseRowMinima(s)
+	if err != nil || len(idx) != 3 {
+		t.Fatalf("StaircaseRowMinima = %v, %v", idx, err)
 	}
 	mach := NewPRAM(CRCW, 8)
-	pidx := MustStaircaseRowMinimaPRAM(mach, s)
+	pidx, err := StaircaseRowMinimaPRAM(mach, s)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := range idx {
 		if idx[i] != pidx[i] {
 			t.Fatalf("PRAM staircase disagrees at %d", i)
@@ -56,8 +59,14 @@ func TestFacadePRAMAndViews(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	a := marray.RandomMonge(rng, 20, 20)
 	mach := NewPRAM(CREW, 40)
-	got := MustRowMinimaPRAM(mach, a)
-	want := MustRowMinima(a)
+	got, err := RowMinimaPRAM(mach, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := RowMinima(a)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatal("PRAM row minima disagree")
@@ -77,10 +86,19 @@ func TestFacadePRAMAndViews(t *testing.T) {
 
 func TestFacadeTube(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	c := MustNewComposite(marray.RandomMonge(rng, 5, 6), marray.RandomMonge(rng, 6, 7))
-	argJ, vals := MustTubeMaxima(c)
+	c, err := NewComposite(marray.RandomMonge(rng, 5, 6), marray.RandomMonge(rng, 6, 7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	argJ, vals, err := TubeMaxima(c)
+	if err != nil {
+		t.Fatal(err)
+	}
 	mach := NewPRAM(CREW, 5*13)
-	pArgJ, pVals := MustTubeMaximaPRAM(mach, c)
+	pArgJ, pVals, err := TubeMaximaPRAM(mach, c)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := range argJ {
 		for k := range argJ[i] {
 			if argJ[i][k] != pArgJ[i][k] || vals[i][k] != pVals[i][k] {
@@ -89,10 +107,19 @@ func TestFacadeTube(t *testing.T) {
 		}
 	}
 	// inverse-Monge factors for minima
-	ci := MustNewComposite(marray.RandomInverseMonge(rng, 4, 5), marray.RandomInverseMonge(rng, 5, 6))
-	mArgJ, _ := MustTubeMinima(ci)
+	ci, err := NewComposite(marray.RandomInverseMonge(rng, 4, 5), marray.RandomInverseMonge(rng, 5, 6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mArgJ, _, err := TubeMinima(ci)
+	if err != nil {
+		t.Fatal(err)
+	}
 	mach2 := NewPRAM(CRCW, 4*11)
-	pmArgJ, _ := MustTubeMinimaPRAM(mach2, ci)
+	pmArgJ, _, err := TubeMinimaPRAM(mach2, ci)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := range mArgJ {
 		for k := range mArgJ[i] {
 			if mArgJ[i][k] != pmArgJ[i][k] {
@@ -113,9 +140,16 @@ func TestFacadeHypercube(t *testing.T) {
 		w[i] = float64(i)
 	}
 	f := func(vi, wj float64) float64 { return a.At(int(vi), int(wj)) }
-	want := MustRowMinima(a)
+	want, err := RowMinima(a)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, kind := range []NetworkKind{Hypercube, CCC, ShuffleExchange} {
-		got, mach := MustRowMinimaHypercube(kind, v, w, f)
+		mach := NewNetworkFor(kind, n, n)
+		got, err := RowMinimaHypercube(mach, v, w, f)
+		if err != nil {
+			t.Fatalf("kind %v: %v", kind, err)
+		}
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("kind %v disagrees", kind)
@@ -125,8 +159,14 @@ func TestFacadeHypercube(t *testing.T) {
 			t.Fatal("network time must be charged")
 		}
 	}
-	gotMax, _ := MustMongeRowMaximaHypercube(Hypercube, v, w, f)
-	wantMax := MustMongeRowMaxima(a)
+	gotMax, err := MongeRowMaximaHypercube(NewNetworkFor(Hypercube, n, n), v, w, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantMax, err := MongeRowMaxima(a)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := range wantMax {
 		if gotMax[i] != wantMax[i] {
 			t.Fatal("hypercube maxima disagree")
@@ -135,17 +175,32 @@ func TestFacadeHypercube(t *testing.T) {
 	// staircase
 	bounds := marray.RandomStaircaseBoundary(rng, n, n)
 	st := NewStair(n, n, func(i, j int) float64 { return a.At(i, j) }, func(i int) int { return bounds[i] })
-	wantSt := MustStaircaseRowMinima(st)
-	gotSt, _ := MustStaircaseRowMinimaHypercube(Hypercube, v, bounds, w, f)
+	wantSt, err := StaircaseRowMinima(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotSt, err := StaircaseRowMinimaHypercube(NewNetworkFor(Hypercube, n, n), v, bounds, w, f)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := range wantSt {
 		if gotSt[i] != wantSt[i] {
 			t.Fatal("hypercube staircase disagrees")
 		}
 	}
 	// tube
-	c := MustNewComposite(marray.RandomMonge(rng, 6, 6), marray.RandomMonge(rng, 6, 6))
-	wantJ, _ := MustTubeMaxima(c)
-	gotJ, _, _ := MustTubeMaximaHypercube(Hypercube, c)
+	c, err := NewComposite(marray.RandomMonge(rng, 6, 6), marray.RandomMonge(rng, 6, 6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantJ, _, err := TubeMaxima(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotJ, _, err := TubeMaximaHypercube(NewTubeNetworkFor(Hypercube, c), c)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := range wantJ {
 		for k := range wantJ[i] {
 			if gotJ[i][k] != wantJ[i][k] {

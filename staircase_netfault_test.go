@@ -27,7 +27,10 @@ func TestStaircaseNetworkFaultConformance(t *testing.T) {
 				t.Run(fmt.Sprintf("%s/n=%d/rate=%g", nk.name, n, rate), func(t *testing.T) {
 					rng := rand.New(rand.NewSource(int64(n)))
 					a := marray.RandomStaircaseMongeInt(rng, n, n, 3) // tie-rich
-					want := MustStaircaseRowMinimaPRAM(NewPRAM(CRCW, n), a)
+					want, err := StaircaseRowMinimaPRAM(NewPRAM(CRCW, n), a)
+					if err != nil {
+						t.Fatal(err)
+					}
 
 					v, w, f := netInputs(a)
 					bound := make([]int, n)
