@@ -88,7 +88,8 @@ func BenchmarkTable11_Hypercube(b *testing.B) {
 				var total int64
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					_, mach := hcmonge.MongeRowMaxima(kind, v, v, func(x, y int) float64 { return a.At(x, y) })
+					mach := hcmonge.MachineFor(kind, n, n)
+					hcmonge.MongeRowMaximaOn(mach, v, v, func(x, y int) float64 { return a.At(x, y) })
 					total += mach.Time()
 				}
 				reportNetwork(b, total, n)
@@ -157,7 +158,8 @@ func BenchmarkTable12_Hypercube(b *testing.B) {
 			var total int64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_, mach := hcmonge.StaircaseRowMinima(hc.Cube, v, bounds, v, func(x, y int) float64 { return a.At(x, y) })
+				mach := hcmonge.MachineFor(hc.Cube, n, n)
+				hcmonge.StaircaseRowMinimaOn(mach, v, bounds, v, func(x, y int) float64 { return a.At(x, y) })
 				total += mach.Time()
 			}
 			reportNetwork(b, total, n)
@@ -218,7 +220,8 @@ func BenchmarkTable13_Hypercube(b *testing.B) {
 			var total int64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_, _, mach := hcmonge.TubeMaxima(hc.Cube, c)
+				mach := hcmonge.TubeMachineFor(hc.Cube, c)
+				hcmonge.TubeMaximaOn(mach, c)
 				total += mach.Time()
 			}
 			reportNetwork(b, total, n)

@@ -117,17 +117,17 @@ func search(a marray.Matrix) []int {
 		}
 		f := func(i, j int) float64 { return a.At(i, j) }
 		var idx []int
-		var mach *hc.Machine
+		mach := hcmonge.MachineFor(hc.Cube, m, nn)
 		if *kind == "staircase" {
 			bounds := make([]int, m)
 			for i := range bounds {
 				bounds[i] = marray.BoundaryOf(a, i)
 			}
-			idx, mach = hcmonge.StaircaseRowMinima(hc.Cube, v, bounds, w, f)
+			idx = hcmonge.StaircaseRowMinimaOn(mach, v, bounds, w, f)
 		} else if *op == "max" {
-			idx, mach = hcmonge.MongeRowMaxima(hc.Cube, v, w, f)
+			idx = hcmonge.MongeRowMaximaOn(mach, v, w, f)
 		} else {
-			idx, mach = hcmonge.RowMinima(hc.Cube, v, w, f)
+			idx = hcmonge.RowMinimaOn(mach, v, w, f)
 		}
 		fmt.Printf("charged time: %d, comm: %d values\n", mach.Time(), mach.Comm())
 		return idx

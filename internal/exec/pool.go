@@ -1,7 +1,12 @@
 // Package exec is the shared execution runtime of the simulated machines:
-// a persistent worker pool with deterministic chunk assignment, plus the
-// instrumentation hooks (per-step counters exportable as JSON) that the
-// benchmark harness consumes.
+// a persistent worker pool with deterministic chunk assignment (Pool), and
+// the runtime envelope both machine families embed (Sim). Sim declares,
+// once for the PRAM and the networks, the time/work counters, pool
+// ownership, observer handles, context and fault attachment, the charged
+// step (Begin, Step.Compute/Dispatch/End: the stall-aware dispatch, its
+// recovery charges, step metrics and spans), the scratch arena with its
+// child-machine shells (Recycle, Child), and branch accounting
+// (ParallelDo).
 //
 // # Why a shared runtime
 //

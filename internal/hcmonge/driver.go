@@ -39,51 +39,32 @@ func checkDim(mach *hc.Machine, m, n int) {
 	}
 }
 
-// RowMinima computes, for each row i of the m x n Monge array
-// a[i,j] = f(v[i], w[j]), the column index of its leftmost minimum, on a
-// freshly sized machine of the given kind. It returns the answers and the
-// machine, whose counters hold the charged time, communication, and work.
+// RowMinimaOn computes, for each row i of the m x n Monge array
+// a[i,j] = f(v[i], w[j]), the column index of its leftmost minimum on
+// mach, whose counters then hold the charged time, communication, and
+// work. The machine must be at least MachineFor-sized for the inputs
+// (merr.ErrMachineTooSmall is thrown otherwise); the caller may attach a
+// context, fault injector, or private pool before the run.
 //
 // With Theorem 3.2's bounds in mind: on an O(n)-processor hypercube the
 // measured time is O(lg n) for an n x n array (the lg lg n factor in the
 // paper's statement comes from processor reduction, which this simulation
 // replaces by machine sizing; see the package comment).
-func RowMinima[V, W any](kind hc.Kind, v []V, w []W, f EntryFunc[V, W]) ([]int, *hc.Machine) {
-	mach := MachineFor(kind, len(v), len(w))
-	return RowMinimaOn(mach, v, w, f), mach
-}
-
-// RowMinimaOn is RowMinima on a caller-provided machine — the form that
-// lets the caller attach a context, fault injector, or private pool
-// before the run. The machine must be at least MachineFor-sized for the
-// inputs (merr.ErrMachineTooSmall is thrown otherwise).
 func RowMinimaOn[V, W any](mach *hc.Machine, v []V, w []W, f EntryFunc[V, W]) []int {
 	return searchOn(mach, v, w, f, false, false)
 }
 
-// RowMaxima computes leftmost row maxima of the m x n INVERSE-Monge array
-// a[i,j] = f(v[i], w[j]) (negation reduces to RowMinima).
-func RowMaxima[V, W any](kind hc.Kind, v []V, w []W, f EntryFunc[V, W]) ([]int, *hc.Machine) {
-	mach := MachineFor(kind, len(v), len(w))
-	return RowMaximaOn(mach, v, w, f), mach
-}
-
-// RowMaximaOn is RowMaxima on a caller-provided machine.
+// RowMaximaOn computes leftmost row maxima of the m x n INVERSE-Monge
+// array a[i,j] = f(v[i], w[j]) on mach (negation reduces to RowMinimaOn).
 func RowMaximaOn[V, W any](mach *hc.Machine, v []V, w []W, f EntryFunc[V, W]) []int {
 	return searchOn(mach, v, w, f, true, false)
 }
 
-// MongeRowMaxima computes leftmost row maxima of a MONGE array (the
-// Theorem 3.2 / Table 1.1 problem): the column order is reversed (making
-// the array inverse-Monge), entries are negated, and the search runs with
-// rightmost tie-breaking, which corresponds to leftmost in the original
-// order. The returned indices are in the original column order.
-func MongeRowMaxima[V, W any](kind hc.Kind, v []V, w []W, f EntryFunc[V, W]) ([]int, *hc.Machine) {
-	mach := MachineFor(kind, len(v), len(w))
-	return MongeRowMaximaOn(mach, v, w, f), mach
-}
-
-// MongeRowMaximaOn is MongeRowMaxima on a caller-provided machine.
+// MongeRowMaximaOn computes leftmost row maxima of a MONGE array (the
+// Theorem 3.2 / Table 1.1 problem) on mach: the column order is reversed
+// (making the array inverse-Monge), entries are negated, and the search
+// runs with rightmost tie-breaking, which corresponds to leftmost in the
+// original order. The returned indices are in the original column order.
 func MongeRowMaximaOn[V, W any](mach *hc.Machine, v []V, w []W, f EntryFunc[V, W]) []int {
 	n := len(w)
 	rev := make([]W, n)

@@ -43,7 +43,7 @@ func TestRowMinimaMatchesSMAWK(t *testing.T) {
 		a := marray.RandomMonge(rng, m, n)
 		want := smawk.RowMinima(a)
 		v, w, f := denseInputs(a)
-		got, _ := RowMinima(hc.Cube, v, w, f)
+		got := RowMinimaOn(MachineFor(hc.Cube, len(v), len(w)), v, w, f)
 		if !eqInts(got, want) {
 			t.Fatalf("trial %d (%dx%d): got %v want %v", trial, m, n, got, want)
 		}
@@ -58,7 +58,7 @@ func TestRowMinimaAllKindsAgree(t *testing.T) {
 		v, w, f := denseInputs(a)
 		want := smawk.RowMinima(a)
 		for _, kind := range []hc.Kind{hc.Cube, hc.CCC, hc.Shuffle} {
-			got, _ := RowMinima(kind, v, w, f)
+			got := RowMinimaOn(MachineFor(kind, len(v), len(w)), v, w, f)
 			if !eqInts(got, want) {
 				t.Fatalf("trial %d kind %v: got %v want %v", trial, kind, got, want)
 			}
@@ -82,7 +82,7 @@ func TestRowMinimaTies(t *testing.T) {
 		}
 		want := smawk.RowMinimaBrute(d)
 		v, w, f := denseInputs(d)
-		got, _ := RowMinima(hc.Cube, v, w, f)
+		got := RowMinimaOn(MachineFor(hc.Cube, len(v), len(w)), v, w, f)
 		if !eqInts(got, want) {
 			t.Fatalf("trial %d: got %v want %v", trial, got, want)
 		}
@@ -96,7 +96,7 @@ func TestRowMaxima(t *testing.T) {
 		a := marray.RandomInverseMonge(rng, m, n)
 		want := smawk.RowMaximaBrute(a)
 		v, w, f := denseInputs(a)
-		got, _ := RowMaxima(hc.Cube, v, w, f)
+		got := RowMaximaOn(MachineFor(hc.Cube, len(v), len(w)), v, w, f)
 		if !eqInts(got, want) {
 			t.Fatalf("trial %d: got %v want %v", trial, got, want)
 		}
@@ -110,7 +110,7 @@ func TestMongeRowMaxima(t *testing.T) {
 		a := marray.RandomMonge(rng, m, n)
 		want := smawk.RowMaximaBrute(a)
 		v, w, f := denseInputs(a)
-		got, _ := MongeRowMaxima(hc.Cube, v, w, f)
+		got := MongeRowMaximaOn(MachineFor(hc.Cube, len(v), len(w)), v, w, f)
 		if !eqInts(got, want) {
 			t.Fatalf("trial %d (%dx%d): got %v want %v", trial, m, n, got, want)
 		}
@@ -123,7 +123,7 @@ func TestRowMinimaShapes(t *testing.T) {
 	for _, sh := range shapes {
 		a := marray.RandomMonge(rng, sh[0], sh[1])
 		v, w, f := denseInputs(a)
-		got, _ := RowMinima(hc.Cube, v, w, f)
+		got := RowMinimaOn(MachineFor(hc.Cube, len(v), len(w)), v, w, f)
 		if !eqInts(got, smawk.RowMinima(a)) {
 			t.Fatalf("shape %v mismatch", sh)
 		}
@@ -131,7 +131,7 @@ func TestRowMinimaShapes(t *testing.T) {
 }
 
 func TestRowMinimaEmpty(t *testing.T) {
-	got, _ := RowMinima(hc.Cube, nil, nil, func(a, b int) float64 { return 0 })
+	got := RowMinimaOn(MachineFor(hc.Cube, 0, 0), nil, nil, func(a, b int) float64 { return 0 })
 	if len(got) != 0 {
 		t.Fatal("empty should give empty")
 	}
@@ -146,7 +146,8 @@ func TestTheorem32TimeShape(t *testing.T) {
 	timeFor := func(n int) int64 {
 		a := marray.RandomMonge(rng, n, n)
 		v, w, f := denseInputs(a)
-		_, mach := RowMinima(hc.Cube, v, w, f)
+		mach := MachineFor(hc.Cube, len(v), len(w))
+		RowMinimaOn(mach, v, w, f)
 		return mach.Time()
 	}
 	t128, t2048 := timeFor(128), timeFor(2048)
@@ -165,7 +166,7 @@ func TestGeometricInputModel(t *testing.T) {
 		p, q := marray.ConvexChainPair(rng, m, n)
 		a := marray.ChainDistanceMatrix(p, q)
 		want := smawk.RowMaximaBrute(a)
-		got, _ := RowMaxima(hc.Cube, p, q, func(pp, qq marray.Point) float64 {
+		got := RowMaximaOn(MachineFor(hc.Cube, m, n), p, q, func(pp, qq marray.Point) float64 {
 			return marray.Dist(pp, qq)
 		})
 		if !eqInts(got, want) {
@@ -181,7 +182,7 @@ func TestQuickRowMinima(t *testing.T) {
 		m, n := 1+rng.Intn(40), 1+rng.Intn(40)
 		a := marray.RandomMonge(rng, m, n)
 		v, w, f := denseInputs(a)
-		got, _ := RowMinima(hc.Cube, v, w, f)
+		got := RowMinimaOn(MachineFor(hc.Cube, len(v), len(w)), v, w, f)
 		return eqInts(got, smawk.RowMinima(a))
 	}
 	if err := quick.Check(fn, cfg); err != nil {

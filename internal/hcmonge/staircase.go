@@ -49,21 +49,13 @@ type stairJob struct {
 	base, size int  // staging block, filled by stageAscending
 }
 
-// StaircaseRowMinima computes, for each row of the m x n staircase-Monge
-// array a[i,j] = f(v[i], w[j]) for j < bound[i] (+Inf beyond), the column
-// of its leftmost finite minimum, or -1 for fully blocked rows. bound must
-// be nonincreasing. Runs on a freshly sized machine of the given kind and
-// returns it for counter inspection (Theorem 3.3 / Table 1.2, "hypercube,
-// etc." row).
-func StaircaseRowMinima[V, W any](kind hc.Kind, v []V, bound []int, w []W, f EntryFunc[V, W]) ([]int, *hc.Machine) {
-	mach := MachineFor(kind, len(v), len(w))
-	return StaircaseRowMinimaOn(mach, v, bound, w, f), mach
-}
-
-// StaircaseRowMinimaOn is StaircaseRowMinima on a caller-provided machine
-// (at least MachineFor-sized; merr.ErrMachineTooSmall is thrown
-// otherwise), the form that lets the caller attach a context or fault
-// injector before the run.
+// StaircaseRowMinimaOn computes, for each row of the m x n
+// staircase-Monge array a[i,j] = f(v[i], w[j]) for j < bound[i] (+Inf
+// beyond), the column of its leftmost finite minimum, or -1 for fully
+// blocked rows, on mach (Theorem 3.3 / Table 1.2, "hypercube, etc."
+// row). bound must be nonincreasing. The machine must be at least
+// MachineFor-sized (merr.ErrMachineTooSmall is thrown otherwise); the
+// caller may attach a context or fault injector before the run.
 func StaircaseRowMinimaOn[V, W any](mach *hc.Machine, v []V, bound []int, w []W, f EntryFunc[V, W]) []int {
 	m, n := len(v), len(w)
 	checkDim(mach, m, n)

@@ -34,7 +34,7 @@ func TestStaircaseMatchesBrute(t *testing.T) {
 		a := marray.RandomStaircaseMonge(rng, m, n)
 		want := smawk.StaircaseRowMinimaBrute(a)
 		v, bound, w, f := stairInputs(a)
-		got, _ := StaircaseRowMinima(hc.Cube, v, bound, w, f)
+		got := StaircaseRowMinimaOn(MachineFor(hc.Cube, len(v), len(w)), v, bound, w, f)
 		if !eqInts(got, want) {
 			t.Fatalf("trial %d (%dx%d): got %v want %v", trial, m, n, got, want)
 		}
@@ -49,7 +49,7 @@ func TestStaircaseAllKinds(t *testing.T) {
 		want := smawk.StaircaseRowMinimaBrute(a)
 		v, bound, w, f := stairInputs(a)
 		for _, kind := range []hc.Kind{hc.Cube, hc.CCC, hc.Shuffle} {
-			got, _ := StaircaseRowMinima(kind, v, bound, w, f)
+			got := StaircaseRowMinimaOn(MachineFor(kind, len(v), len(w)), v, bound, w, f)
 			if !eqInts(got, want) {
 				t.Fatalf("trial %d kind %v: got %v want %v", trial, kind, got, want)
 			}
@@ -65,7 +65,7 @@ func TestStaircaseLargerShapes(t *testing.T) {
 			a := marray.RandomStaircaseMonge(rng, sh[0], sh[1])
 			want := smawk.StaircaseRowMinimaBrute(a)
 			v, bound, w, f := stairInputs(a)
-			got, _ := StaircaseRowMinima(hc.Cube, v, bound, w, f)
+			got := StaircaseRowMinimaOn(MachineFor(hc.Cube, len(v), len(w)), v, bound, w, f)
 			if !eqInts(got, want) {
 				t.Fatalf("shape %v trial %d mismatch", sh, trial)
 			}
@@ -77,7 +77,7 @@ func TestStaircaseAllBlocked(t *testing.T) {
 	v := []int{0, 1, 2}
 	bound := []int{0, 0, 0}
 	w := []int{0, 1}
-	got, _ := StaircaseRowMinima(hc.Cube, v, bound, w, func(i, j int) float64 { return 0 })
+	got := StaircaseRowMinimaOn(MachineFor(hc.Cube, len(v), len(w)), v, bound, w, func(i, j int) float64 { return 0 })
 	for _, g := range got {
 		if g != -1 {
 			t.Fatalf("all blocked must give -1: %v", got)
@@ -91,7 +91,7 @@ func TestStaircasePlainMongeSpecialCase(t *testing.T) {
 		m, n := 1+rng.Intn(25), 1+rng.Intn(25)
 		a := marray.RandomMonge(rng, m, n)
 		v, bound, w, f := stairInputs(a)
-		got, _ := StaircaseRowMinima(hc.Cube, v, bound, w, f)
+		got := StaircaseRowMinimaOn(MachineFor(hc.Cube, len(v), len(w)), v, bound, w, f)
 		if !eqInts(got, smawk.RowMinima(a)) {
 			t.Fatalf("trial %d: plain Monge mismatch", trial)
 		}
@@ -103,7 +103,8 @@ func TestTheorem33TimeShape(t *testing.T) {
 	timeFor := func(n int) int64 {
 		a := marray.RandomStaircaseMonge(rng, n, n)
 		v, bound, w, f := stairInputs(a)
-		_, mach := StaircaseRowMinima(hc.Cube, v, bound, w, f)
+		mach := MachineFor(hc.Cube, len(v), len(w))
+		StaircaseRowMinimaOn(mach, v, bound, w, f)
 		return mach.Time()
 	}
 	t128, t1024 := timeFor(128), timeFor(1024)
@@ -119,7 +120,7 @@ func TestQuickStaircaseHypercube(t *testing.T) {
 		m, n := 1+rng.Intn(40), 1+rng.Intn(40)
 		a := marray.RandomStaircaseMonge(rng, m, n)
 		v, bound, w, f := stairInputs(a)
-		got, _ := StaircaseRowMinima(hc.Cube, v, bound, w, f)
+		got := StaircaseRowMinimaOn(MachineFor(hc.Cube, len(v), len(w)), v, bound, w, f)
 		return eqInts(got, smawk.StaircaseRowMinimaBrute(a))
 	}
 	if err := quick.Check(fn, cfg); err != nil {
@@ -133,7 +134,7 @@ func TestTubeMaximaHypercube(t *testing.T) {
 		p, q, r := 1+rng.Intn(10), 1+rng.Intn(10), 1+rng.Intn(10)
 		c := marray.RandomComposite(rng, p, q, r)
 		wantJ, wantV := smawk.TubeMaxima(c)
-		gotJ, gotV, _ := TubeMaxima(hc.Cube, c)
+		gotJ, gotV := TubeMaximaOn(TubeMachineFor(hc.Cube, c), c)
 		for i := 0; i < p; i++ {
 			if !eqInts(gotJ[i], wantJ[i]) {
 				t.Fatalf("trial %d slice %d: got %v want %v", trial, i, gotJ[i], wantJ[i])
@@ -156,7 +157,7 @@ func TestTubeMinimaHypercube(t *testing.T) {
 			marray.RandomInverseMonge(rng, q, r),
 		)
 		wantJ, _ := smawk.TubeMinima(c)
-		gotJ, _, _ := TubeMinima(hc.Cube, c)
+		gotJ, _ := TubeMinimaOn(TubeMachineFor(hc.Cube, c), c)
 		for i := 0; i < p; i++ {
 			if !eqInts(gotJ[i], wantJ[i]) {
 				t.Fatalf("trial %d slice %d: got %v want %v", trial, i, gotJ[i], wantJ[i])
@@ -169,7 +170,8 @@ func TestTheorem34TimeShape(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	timeFor := func(n int) int64 {
 		c := marray.RandomComposite(rng, n, n, n)
-		_, _, mach := TubeMaxima(hc.Cube, c)
+		mach := TubeMachineFor(hc.Cube, c)
+		TubeMaximaOn(mach, c)
 		return mach.Time()
 	}
 	t32, t128 := timeFor(32), timeFor(128)

@@ -32,32 +32,17 @@ func tubeDims(c marray.Composite) (subDim, lgP int) {
 	return subDim, lgP
 }
 
-// TubeMaxima computes, for every (i, k), the smallest middle coordinate j
-// maximising c[i,j,k] = d[i,j] + e[j,k] (D, E Monge), plus the values, on
-// simulated networks of the given kind. Returns the parent machine for
-// counter inspection.
-func TubeMaxima(kind hc.Kind, c marray.Composite) (argJ [][]int, vals [][]float64, mach *hc.Machine) {
-	mach = TubeMachineFor(kind, c)
-	argJ, vals = TubeMaximaOn(mach, c)
-	return argJ, vals, mach
-}
-
-// TubeMaximaOn is TubeMaxima on a caller-provided machine (at least
-// TubeMachineFor-sized; merr.ErrMachineTooSmall is thrown otherwise), the
-// form that lets the caller attach a context or fault injector first.
+// TubeMaximaOn computes, for every (i, k), the smallest middle
+// coordinate j maximising c[i,j,k] = d[i,j] + e[j,k] (D, E Monge), plus
+// the values, on mach. The machine must be at least TubeMachineFor-sized
+// (merr.ErrMachineTooSmall is thrown otherwise); the caller may attach a
+// context or fault injector first.
 func TubeMaximaOn(mach *hc.Machine, c marray.Composite) ([][]int, [][]float64) {
 	return tubeSearchOn(mach, c, true)
 }
 
-// TubeMinima is the minimisation analogue for composites with
-// inverse-Monge factors (the shortest-path orientation).
-func TubeMinima(kind hc.Kind, c marray.Composite) (argJ [][]int, vals [][]float64, mach *hc.Machine) {
-	mach = TubeMachineFor(kind, c)
-	argJ, vals = TubeMinimaOn(mach, c)
-	return argJ, vals, mach
-}
-
-// TubeMinimaOn is TubeMinima on a caller-provided machine.
+// TubeMinimaOn is the minimisation analogue of TubeMaximaOn for
+// composites with inverse-Monge factors (the shortest-path orientation).
 func TubeMinimaOn(mach *hc.Machine, c marray.Composite) ([][]int, [][]float64) {
 	return tubeSearchOn(mach, c, false)
 }

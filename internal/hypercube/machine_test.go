@@ -2,6 +2,9 @@ package hypercube
 
 import (
 	"testing"
+
+	"monge/internal/exec"
+	"monge/internal/faults"
 )
 
 func TestKindString(t *testing.T) {
@@ -61,6 +64,37 @@ func TestLocalCharges(t *testing.T) {
 	m.Reset()
 	if m.Time() != 0 {
 		t.Fatal("reset failed")
+	}
+}
+
+// TestLocalFaultRecoveryCharges pins the one recovery-charge rule of a
+// computation step on the networks, the same as the PRAM's: each stalled
+// chunk re-executes at the step's cost (cost time, cost·chunk work) and
+// each step timeout re-executes the whole step (cost time, cost·2^d
+// work). The charges above a clean run must match the injector's counts.
+func TestLocalFaultRecoveryCharges(t *testing.T) {
+	const d, cost, steps = 12, 5, 20
+	run := func(in *faults.Injector) *Machine {
+		m := NewCube(d)
+		m.SetFaults(in)
+		for s := 0; s < steps; s++ {
+			m.Local(cost, func(int) {})
+		}
+		return m
+	}
+	clean := run(nil)
+	in := faults.New(3, 0.2)
+	faulty := run(in)
+	st := in.Stats()
+	if st.Stalls == 0 || st.Timeouts == 0 {
+		t.Fatalf("injector delivered %d stalls and %d timeouts; the rule needs both", st.Stalls, st.Timeouts)
+	}
+	if got, want := faulty.Time()-clean.Time(), cost*(st.Stalls+st.Timeouts); got != want {
+		t.Fatalf("recovery time %d, want %d = %d·(%d stalls + %d timeouts)", got, want, cost, st.Stalls, st.Timeouts)
+	}
+	chunk, _ := exec.ChunkBounds(1 << d)
+	if got, want := faulty.Work()-clean.Work(), cost*(int64(chunk)*st.Stalls+(1<<d)*st.Timeouts); got != want {
+		t.Fatalf("recovery work %d, want %d", got, want)
 	}
 }
 

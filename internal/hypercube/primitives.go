@@ -211,11 +211,11 @@ func routeBits[T any](m *Machine, items *Vec[Opt[routeItem[T]]], ascending bool)
 		})
 		ex.Free()
 	}
-	m.pool.For(m.n, func(p int) {
+	for p := 0; p < m.n; p++ {
 		if it := cur.Get(p); it.Ok && it.Val.dst != p {
 			panic(fmt.Sprintf("monge: hypercube: item for %d stranded at %d", it.Val.dst, p))
 		}
-	})
+	}
 	return cur
 }
 

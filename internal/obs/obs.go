@@ -123,8 +123,8 @@ const (
 	// Query serving (the "serve" site). QueriesServed counts completed
 	// pool queries; QueueDepthPeak is a high-water gauge of the submit
 	// queue (raised with StoreMax); ShardImbalance is the spread between
-	// the busiest and idlest worker's served-query counts, stored when
-	// the pool closes; QueueDepth is the queue length stored at every
+	// the busiest and idlest worker's served-query counts, stored after
+	// every served query; QueueDepth is the queue length stored at every
 	// enqueue and dequeue.
 	QueriesServed
 	QueueDepthPeak

@@ -34,23 +34,24 @@
 // stay index-exact because failed attempts are effect-free (writes are
 // buffered until the barrier). Children inherit both.
 //
-// Supersteps execute on the persistent worker pool of internal/exec, so
-// the simulation is itself parallel, but the reproduced quantities are the
-// step/time/work counters, not wall-clock speed. The pool's deterministic
-// chunking guarantees identical outputs and charged costs for any worker
-// count; child machines created by ParallelDo inherit the parent's pool
-// and observability handles.
+// The runtime envelope is exec.Sim, which Machine embeds and shares with
+// the networks of internal/hypercube: the time/work counters, the worker
+// pool, the observer, the context and fault injector, the scratch arena
+// and ParallelDo's branch accounting. The PRAM adds its processor count,
+// step counter and buffered CREW/CRCW writes. Supersteps execute on the
+// persistent worker pool of internal/exec, so the simulation is itself
+// parallel, but the reproduced quantities are the step/time/work
+// counters, not wall-clock speed. The pool's deterministic chunking
+// guarantees identical outputs and charged costs for any worker count;
+// child machines created by ParallelDo inherit the parent's envelope.
 package pram
 
 import (
-	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"monge/internal/exec"
-	"monge/internal/faults"
 	"monge/internal/merr"
 	"monge/internal/obs"
 )
@@ -96,34 +97,15 @@ func (e *ConflictError) Error() string {
 // Unwrap matches the conflict to merr.ErrWriteConflict under errors.Is.
 func (e *ConflictError) Unwrap() error { return merr.ErrWriteConflict }
 
-// Machine is a simulated PRAM.
+// Machine is a simulated PRAM. The runtime envelope it shares with the
+// networks (time/work counters, pool, observer, context, faults, arena)
+// is the embedded exec.Sim, whose methods it promotes.
 type Machine struct {
+	exec.Sim
+
 	mode  Mode
 	procs int
-
-	time  int64 // Brent-adjusted parallel time units
 	steps int64 // number of supersteps
-	work  int64 // total virtual processor activations
-
-	stepID int64
-
-	// pool executes the parallel loops of every superstep; ownPool marks a
-	// private pool installed by SetWorkers, which Reset shuts down (the
-	// shared exec.Default pool is left running for other machines).
-	pool    *exec.Pool
-	ownPool bool
-	// obsC and tracer are the machine's observability handles (nil when
-	// the layer is off): obsC is the "pram" counter site, tracer records
-	// one wall-clock span per charged superstep. Captured from the
-	// process-wide obs.Global at creation; child machines inherit both.
-	obsC   *obs.Counters
-	tracer *obs.Tracer
-
-	// ctx, when non-nil, is polled at superstep boundaries; cancellation
-	// throws merr.ErrCanceled. faults, when enabled, injects chunk stalls
-	// and superstep timeouts. Child machines inherit both.
-	ctx    context.Context
-	faults *faults.Injector
 
 	// dirty lists the arrays with pending writes in the current step; an
 	// array registers itself on its first write of a step and is flushed
@@ -134,17 +116,13 @@ type Machine struct {
 	// itself stops allocating after the first step.
 	dirtyMu sync.Mutex
 	dirty   []flusher
-
-	// arena recycles Array storage (see arena.go). ParallelDo children
-	// share the parent's arena, so a subproblem's temporaries feed the
-	// next subproblem; Reset releases it.
-	arena *arrayArena
 }
 
 type flusher interface {
-	// flush applies the pending writes and reports how many records were
-	// applied plus the largest single-shard burst (contention proxy).
-	flush(m *Machine) (writes, maxShard int)
+	// flush applies the pending writes of the given step and reports how
+	// many records were applied plus the largest single-shard burst
+	// (contention proxy).
+	flush(m *Machine, step int64) (writes, maxShard int)
 	// discard drops the pending writes without applying them (cancelled
 	// step: committed state must stay at the last completed barrier).
 	discard()
@@ -163,105 +141,21 @@ func (m *Machine) markDirty(f flusher) {
 // GOMAXPROCS) unless SetWorkers installs a private one, and attaches the
 // process-wide observer (obs.Global) if one is installed.
 func New(mode Mode, procs int) *Machine {
-	if procs < 1 {
-		procs = 1
-	}
-	m := &Machine{
-		mode: mode, procs: procs,
-		pool: exec.Default(), faults: faults.Global(),
-		arena: newArrayArena(),
-	}
-	if o := obs.Global(); o != nil {
-		m.obsC = o.Site("pram")
-		m.tracer = o.Tracer()
-	}
-	return m
+	return &Machine{Sim: exec.NewSim("pram"), mode: mode, procs: max(procs, 1)}
 }
 
 // child returns a machine for a ParallelDo branch: same mode, the given
-// declared processor count, and — crucially — the parent's pool and observer
-// handles, so recursive subproblems stay on the persistent runtime and remain
-// traced end-to-end instead of silently falling back to a default. The
-// shell is recycled from the parent's arena when possible; ParallelDo
-// returns it via releaseChild once the branch and its accounting are
-// done.
+// declared processor count, and the parent's runtime envelope
+// (exec.Child). The shell is recycled from the parent's arena when
+// possible; arrays created on a finished branch stay readable (recycling
+// never touches committed array state), and writing them is already
+// outside the ParallelDo contract.
 func (m *Machine) child(procs int) *Machine {
-	if procs < 1 {
-		procs = 1
-	}
-	if ar := m.arena; ar != nil {
-		if sub := ar.getMachine(); sub != nil {
-			sub.mode = m.mode
-			sub.procs = procs
-			sub.time, sub.steps, sub.work, sub.stepID = 0, 0, 0, 0
-			sub.pool, sub.ownPool = m.pool, false
-			sub.obsC, sub.tracer = m.obsC, m.tracer
-			sub.ctx, sub.faults = m.ctx, m.faults
-			sub.arena = ar
-			sub.dirty = sub.dirty[:0]
-			return sub
-		}
-	}
-	sub := New(m.mode, procs)
-	sub.pool = m.pool
-	sub.obsC = m.obsC
-	sub.tracer = m.tracer
-	sub.ctx = m.ctx
-	sub.faults = m.faults
-	sub.arena = m.arena
+	sub := exec.Child[Machine](&m.Sim)
+	sub.mode, sub.procs, sub.steps = m.mode, max(procs, 1), 0
+	sub.dirty = sub.dirty[:0]
 	return sub
 }
-
-// releaseChild retains a finished branch machine for reuse by a later
-// child call. Arrays created on the branch stay readable (recycling
-// never touches committed array state); writing them is already outside
-// the ParallelDo contract.
-func (m *Machine) releaseChild(sub *Machine) {
-	if m.arena != nil && !sub.ownPool {
-		m.arena.putMachine(sub)
-	}
-}
-
-// SetWorkers installs a private worker pool with the given worker count,
-// replacing the shared default. It exists for determinism and overhead
-// experiments; outputs and charged costs are identical for any value (the
-// runtime's chunking contract). A previous private pool is shut down.
-func (m *Machine) SetWorkers(w int) {
-	if m.ownPool {
-		m.pool.Close()
-	}
-	m.pool = exec.NewPool(w)
-	m.ownPool = true
-}
-
-// Workers returns the worker count of the machine's pool.
-func (m *Machine) Workers() int { return m.pool.Workers() }
-
-// SetObserver attaches the machine to an observability layer: its "pram"
-// counter site and, if tracing is enabled on o, its span tracer (nil
-// detaches both). ParallelDo children inherit the handles.
-func (m *Machine) SetObserver(o *obs.Observer) {
-	m.obsC = o.Site("pram")
-	m.tracer = o.Tracer()
-}
-
-// SetContext attaches a context polled at every superstep boundary: once
-// it is cancelled the next Step discards its buffered writes and throws
-// merr.ErrCanceled (also matching the context's own error), which the
-// public error-returning APIs recover. Nil detaches. ParallelDo children
-// inherit it.
-func (m *Machine) SetContext(ctx context.Context) { m.ctx = ctx }
-
-// Context returns the attached context (nil when none).
-func (m *Machine) Context() context.Context { return m.ctx }
-
-// SetFaults attaches a fault injector (nil disables injection). Machines
-// start with the environment-configured faults.Global injector; ParallelDo
-// children inherit the parent's.
-func (m *Machine) SetFaults(in *faults.Injector) { m.faults = in }
-
-// Faults returns the attached fault injector (nil when none).
-func (m *Machine) Faults() *faults.Injector { return m.faults }
 
 // Mode returns the machine's memory access mode.
 func (m *Machine) Mode() Mode { return m.mode }
@@ -269,16 +163,8 @@ func (m *Machine) Mode() Mode { return m.mode }
 // Procs returns the declared processor count.
 func (m *Machine) Procs() int { return m.procs }
 
-// Time returns the accumulated Brent-adjusted parallel time: the sum over
-// supersteps of cost * ceil(n/P).
-func (m *Machine) Time() int64 { return m.time }
-
 // Steps returns the number of supersteps executed.
 func (m *Machine) Steps() int64 { return m.steps }
-
-// Work returns the total number of virtual processor activations, weighted
-// by per-step cost (the processor-time product of the simulated program).
-func (m *Machine) Work() int64 { return m.work }
 
 // Cost is one reading of a machine's cumulative cost counters. Two
 // readings subtract to the cost charged between them, which is how
@@ -298,22 +184,15 @@ func (c Cost) Sub(before Cost) Cost {
 // CostSnapshot returns the current cumulative counters as one value, for
 // before/after diffing around a query.
 func (m *Machine) CostSnapshot() Cost {
-	return Cost{Steps: m.steps, Time: m.time, Work: m.work}
+	return Cost{Steps: m.steps, Time: m.Time(), Work: m.Work()}
 }
 
 // Reset clears the cost counters (registered arrays keep their contents),
 // releases the scratch arena to the garbage collector, and shuts down the
-// machine's private pool, if any; the pool restarts lazily if the machine
-// is used again. The shared default pool is left running for other
-// machines.
+// machine's private pool, if any (exec.Sim.Reset).
 func (m *Machine) Reset() {
-	m.time, m.steps, m.work = 0, 0, 0
-	if m.arena != nil {
-		m.arena.release()
-	}
-	if m.ownPool {
-		m.pool.Close()
-	}
+	m.Sim.Reset()
+	m.steps = 0
 }
 
 // Step executes one superstep with n virtual processors, each running
@@ -327,92 +206,33 @@ func (m *Machine) Step(n int, body func(id int)) {
 
 // StepCost is Step for bodies that perform cost elementary operations
 // each; the time charge is cost * ceil(n/P) and the work charge is
-// cost * n.
+// cost * n. Injected stalls and timeouts add their recovery charges
+// (exec.Step.Compute); a cancelled step drops its buffered writes, so
+// committed state stays exactly as of the last completed barrier.
 func (m *Machine) StepCost(n, cost int, body func(id int)) {
 	if n <= 0 {
 		return
 	}
-	if cost < 1 {
-		cost = 1
-	}
-	if m.ctx != nil {
-		if cause := m.ctx.Err(); cause != nil {
-			m.discardDirty()
-			merr.Throw(merr.Canceled(cause))
-		}
-	}
+	cost = max(cost, 1)
+	st := exec.Begin(&m.Sim, m.discardDirty)
 	m.steps++
-	base := int64(cost) * int64((n+m.procs-1)/m.procs)
-	timeBefore, workBefore := m.time, m.work
-	m.time += base
-	m.work += int64(cost) * int64(n)
-	m.stepID++
+	st.Compute(n, cost, int64(cost)*int64((n+m.procs-1)/m.procs), body)
+	m.flush(st.ID())
+	st.End("step")
+}
 
-	var spanStart time.Time
-	if m.tracer != nil {
-		spanStart = m.tracer.Begin()
-	}
-
-	var chunks int
-	var stalls int64
-	if m.ctx == nil && !m.faults.Enabled() {
-		// Fast path: no cancellation points, no injection hooks.
-		chunks = m.pool.For(n, body)
-	} else {
-		res, err := m.pool.Run(exec.Loop{
-			N: n, Body: body, Ctx: m.ctx, Stall: m.faults.StallFn(m.stepID),
-		})
-		chunks, stalls = res.Chunks, res.Stalls
-		if err != nil {
-			// The step is partial; drop its buffered writes so committed
-			// state stays exactly as of the last completed barrier.
-			m.discardDirty()
-			merr.Throw(merr.Canceled(err))
-		}
-		if m.faults.Enabled() {
-			// Charge the recoveries: each stalled chunk attempt re-executes
-			// one chunk (one extra time unit per stall at full chunk work),
-			// and each superstep timeout re-executes the whole step. The
-			// failed attempts are effect-free, so only the counters move.
-			if stalls > 0 {
-				size, _ := exec.ChunkBounds(n)
-				if size > n {
-					size = n
-				}
-				m.time += int64(cost) * stalls
-				m.work += int64(cost) * int64(size) * stalls
-			}
-			if t := m.faults.StepTimeouts(m.stepID); t > 0 {
-				m.time += int64(t) * base
-				m.work += int64(t) * int64(cost) * int64(n)
-				m.obsC.Add(obs.FaultTimeouts, int64(t))
-			}
-		}
-	}
-
+// flush commits every buffered write of the given step at the barrier.
+func (m *Machine) flush(step int64) {
 	writes, maxShard := 0, 0
 	for _, a := range m.dirty {
-		w, ms := a.flush(m)
+		w, ms := a.flush(m, step)
 		writes += w
-		if ms > maxShard {
-			maxShard = ms
-		}
+		maxShard = max(maxShard, ms)
 	}
 	m.dirty = m.dirty[:0]
-
-	if c := m.obsC; c != nil {
-		c.Add(obs.Supersteps, 1)
-		c.Add(obs.ChargedTime, m.time-timeBefore)
-		c.Add(obs.ChargedWork, m.work-workBefore)
+	if c := exec.Counters(&m.Sim); c != nil {
 		c.Add(obs.SharedWrites, int64(writes))
 		c.StoreMax(obs.WriteShardPeak, int64(maxShard))
-		c.Add(obs.PoolChunks, int64(chunks))
-		if stalls > 0 {
-			c.Add(obs.FaultStalls, stalls)
-		}
-	}
-	if m.tracer != nil {
-		m.tracer.End("pram", "step", spanStart, n, cost, chunks)
 	}
 }
 
@@ -427,11 +247,6 @@ func (m *Machine) discardDirty() {
 		f.discard()
 	}
 }
-
-// Sequential runs body outside the parallel cost model (for setup and
-// verification code in tests and benchmarks). It costs nothing and flushes
-// nothing; do not call Array.Write from it.
-func (m *Machine) Sequential(body func()) { body() }
 
 // shardCount is the number of write-buffer shards per array; writes are
 // sharded by cell index to reduce lock contention.
@@ -484,7 +299,7 @@ func (a *Array[T]) Len() int { return len(a.vals) }
 // attached the read is counted as one shared-memory access; the disabled
 // path is a single nil check on a cached field.
 func (a *Array[T]) Read(i int) T {
-	a.m.obsC.Add(obs.SharedReads, 1)
+	exec.Counters(&a.m.Sim).Add(obs.SharedReads, 1)
 	return a.vals[i]
 }
 
@@ -529,9 +344,9 @@ func (a *Array[T]) discard() {
 
 // flush applies pending writes under the machine's conflict rules and
 // reports the applied record count and the largest single shard.
-func (a *Array[T]) flush(m *Machine) (writes, maxShard int) {
+func (a *Array[T]) flush(m *Machine, step int64) (writes, maxShard int) {
 	atomic.StoreInt32(&a.dirty, 0)
-	step := m.stepID
+	c := exec.Counters(&m.Sim)
 	for si := range a.shards {
 		s := &a.shards[si]
 		if len(s.recs) == 0 {
@@ -554,14 +369,14 @@ func (a *Array[T]) flush(m *Machine) (writes, maxShard int) {
 				// Later write by the same processor wins (program order
 				// within one processor is preserved by the shard slice).
 				a.vals[r.idx] = r.val
-				m.obsC.Add(obs.ConflictsSamePid, 1)
+				c.Add(obs.ConflictsSamePid, 1)
 			case m.mode == CREW:
-				m.obsC.Add(obs.ConflictsCREW, 1)
+				c.Add(obs.ConflictsCREW, 1)
 				merr.Throw(&ConflictError{Index: r.idx, Pid1: cur, Pid2: r.pid})
 			default:
 				// Priority CRCW: the resolution between distinct writers is
 				// counted whichever pid wins the cell.
-				m.obsC.Add(obs.ConflictsPriority, 1)
+				c.Add(obs.ConflictsPriority, 1)
 				if r.pid < cur {
 					// Lowest pid wins.
 					a.owner[r.idx] = int32(r.pid)

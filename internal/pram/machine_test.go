@@ -154,15 +154,6 @@ func TestArrayFillSetSnapshot(t *testing.T) {
 	}
 }
 
-func TestSequentialHelper(t *testing.T) {
-	m := New(CREW, 2)
-	ran := false
-	m.Sequential(func() { ran = true })
-	if !ran || m.Steps() != 0 {
-		t.Fatal("Sequential must run body at zero cost")
-	}
-}
-
 func TestManyStepsDirtyTracking(t *testing.T) {
 	// Allocating many temporaries must not slow later steps (dirty list
 	// only). This is a functional check that flushing still works after
@@ -235,19 +226,5 @@ func TestParallelDo(t *testing.T) {
 	}
 	if m.Work() != workSum {
 		t.Fatalf("parent work = %d, want sum %d", m.Work(), workSum)
-	}
-}
-
-func TestEvenSplit(t *testing.T) {
-	s := EvenSplit(10, 3)
-	if len(s) != 3 || s[0] != 4 || s[1] != 4 || s[2] != 4 {
-		t.Fatalf("EvenSplit(10,3) = %v", s)
-	}
-	if EvenSplit(10, 0) != nil {
-		t.Fatal("zero branches should give nil")
-	}
-	s = EvenSplit(0, 2)
-	if s[0] != 1 {
-		t.Fatal("minimum one processor per branch")
 	}
 }

@@ -77,29 +77,12 @@ func (a *Arena[T]) Rewind(m Mark) { a.bi, a.used = m.bi, m.used }
 // Reset rewinds the arena to empty, retaining block storage for reuse.
 func (a *Arena[T]) Reset() { a.bi, a.used = 0, 0 }
 
-// Footprint reports the total element capacity held by the arena.
-func (a *Arena[T]) Footprint() int {
-	n := 0
-	for _, b := range a.blocks {
-		n += len(b)
-	}
-	return n
-}
-
 // FreeList is a LIFO recycler for equal-typed slices. Get prefers the
 // most recently Put slice whose capacity covers the request (scanning at
 // most scanLimit candidates so a pathological size mix stays O(1)), and
 // Put retains at most listCap slices, dropping the excess for the
 // garbage collector.
-type FreeList[T any] struct {
-	free [][]T
-
-	// Hits, Misses and Bytes count checkout outcomes: a hit recycles a
-	// retained slice (Bytes accumulates the recycled backing size), a miss
-	// falls through to make. The machine arenas mirror these into the obs
-	// counter site.
-	Hits, Misses, Bytes int64
-}
+type FreeList[T any] struct{ free [][]T }
 
 const (
 	scanLimit = 16
@@ -110,19 +93,16 @@ const (
 // are NOT zeroed — callers that expose zero-value semantics must clear
 // the slice themselves (the machine arenas do). The second result
 // reports whether the slice was recycled.
-func (f *FreeList[T]) Get(n int, elemSize uintptr) ([]T, bool) {
+func (f *FreeList[T]) Get(n int) ([]T, bool) {
 	for i, scanned := len(f.free)-1, 0; i >= 0 && scanned < scanLimit; i, scanned = i-1, scanned+1 {
 		if s := f.free[i]; cap(s) >= n {
 			last := len(f.free) - 1
 			f.free[i] = f.free[last]
 			f.free[last] = nil
 			f.free = f.free[:last]
-			f.Hits++
-			f.Bytes += int64(n) * int64(elemSize)
 			return s[:n], true
 		}
 	}
-	f.Misses++
 	return make([]T, n), false
 }
 

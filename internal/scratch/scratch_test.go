@@ -1,9 +1,6 @@
 package scratch
 
-import (
-	"testing"
-	"unsafe"
-)
+import "testing"
 
 func TestArenaStackDiscipline(t *testing.T) {
 	var a Arena[int]
@@ -66,29 +63,25 @@ func TestArenaSteadyStateNoAlloc(t *testing.T) {
 
 func TestFreeListRecycles(t *testing.T) {
 	var f FreeList[int]
-	elem := unsafe.Sizeof(int(0))
-	s, hit := f.Get(8, elem)
+	s, hit := f.Get(8)
 	if hit {
 		t.Fatal("first Get reported a hit")
 	}
 	f.Put(s)
-	s2, hit := f.Get(4, elem)
+	s2, hit := f.Get(4)
 	if !hit {
 		t.Fatal("Get after Put missed")
 	}
 	if len(s2) != 4 || cap(s2) < 8 {
 		t.Fatalf("recycled slice len=%d cap=%d", len(s2), cap(s2))
 	}
-	if f.Hits != 1 || f.Misses != 1 || f.Bytes != int64(4*elem) {
-		t.Fatalf("counters hits=%d misses=%d bytes=%d", f.Hits, f.Misses, f.Bytes)
-	}
 }
 
 func TestFreeListTooSmallIsMiss(t *testing.T) {
 	var f FreeList[byte]
-	s, _ := f.Get(4, 1)
+	s, _ := f.Get(4)
 	f.Put(s)
-	_, hit := f.Get(1024, 1)
+	_, hit := f.Get(1024)
 	if hit {
 		t.Fatal("undersized slice reported as hit")
 	}
