@@ -18,9 +18,9 @@
 // Pool here is started lazily once, keeps its workers parked on a job
 // channel between steps, and is reused by every superstep of every
 // machine that shares it — including the child machines that ParallelDo
-// and Subcubes create for recursive subproblems, which inherit the
-// parent's pool and observer instead of falling back to a private (or worse,
-// sequential) runtime.
+// creates for recursive subproblems, which inherit the parent's pool and
+// observer instead of falling back to a private (or worse, sequential)
+// runtime.
 //
 // # Dispatch
 //

@@ -51,13 +51,7 @@ func checkDim(mach *hc.Machine, m, n int) {
 // paper's statement comes from processor reduction, which this simulation
 // replaces by machine sizing; see the package comment).
 func RowMinimaOn[V, W any](mach *hc.Machine, v []V, w []W, f EntryFunc[V, W]) []int {
-	return searchOn(mach, v, w, f, false, false)
-}
-
-// RowMaximaOn computes leftmost row maxima of the m x n INVERSE-Monge
-// array a[i,j] = f(v[i], w[j]) on mach (negation reduces to RowMinimaOn).
-func RowMaximaOn[V, W any](mach *hc.Machine, v []V, w []W, f EntryFunc[V, W]) []int {
-	return searchOn(mach, v, w, f, true, false)
+	return searchVW(mach, v, w, f, false, func(j int) int { return j })
 }
 
 // MongeRowMaximaOn computes leftmost row maxima of a MONGE array (the
@@ -73,15 +67,6 @@ func MongeRowMaximaOn[V, W any](mach *hc.Machine, v []V, w []W, f EntryFunc[V, W
 	}
 	neg := func(vi V, wj W) float64 { return -f(vi, wj) }
 	return searchVW(mach, v, rev, neg, true, func(j int) int { return n - 1 - j })
-}
-
-// searchOn negates when maxima is set and runs the generic driver.
-func searchOn[V, W any](mach *hc.Machine, v []V, w []W, f EntryFunc[V, W], maxima, tieRight bool) []int {
-	g := f
-	if maxima {
-		g = func(vi V, wj W) float64 { return -f(vi, wj) }
-	}
-	return searchVW(mach, v, w, g, tieRight, func(j int) int { return j })
 }
 
 // searchVW places the inputs in the paper's distributed model (v[i] and

@@ -148,24 +148,6 @@ func TestTubeMaximaHypercube(t *testing.T) {
 	}
 }
 
-func TestTubeMinimaHypercube(t *testing.T) {
-	rng := rand.New(rand.NewSource(16))
-	for trial := 0; trial < 20; trial++ {
-		p, q, r := 1+rng.Intn(8), 1+rng.Intn(8), 1+rng.Intn(8)
-		c := marray.NewComposite(
-			marray.RandomInverseMonge(rng, p, q),
-			marray.RandomInverseMonge(rng, q, r),
-		)
-		wantJ, _ := smawk.TubeMinima(c)
-		gotJ, _ := TubeMinimaOn(TubeMachineFor(hc.Cube, c), c)
-		for i := 0; i < p; i++ {
-			if !eqInts(gotJ[i], wantJ[i]) {
-				t.Fatalf("trial %d slice %d: got %v want %v", trial, i, gotJ[i], wantJ[i])
-			}
-		}
-	}
-}
-
 func TestTheorem34TimeShape(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	timeFor := func(n int) int64 {

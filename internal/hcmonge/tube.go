@@ -38,31 +38,21 @@ func tubeDims(c marray.Composite) (subDim, lgP int) {
 // (merr.ErrMachineTooSmall is thrown otherwise); the caller may attach a
 // context or fault injector first.
 func TubeMaximaOn(mach *hc.Machine, c marray.Composite) ([][]int, [][]float64) {
-	return tubeSearchOn(mach, c, true)
-}
-
-// TubeMinimaOn is the minimisation analogue of TubeMaximaOn for
-// composites with inverse-Monge factors (the shortest-path orientation).
-func TubeMinimaOn(mach *hc.Machine, c marray.Composite) ([][]int, [][]float64) {
-	return tubeSearchOn(mach, c, false)
-}
-
-func tubeSearchOn(parent *hc.Machine, c marray.Composite, maxima bool) ([][]int, [][]float64) {
 	p, q, r := c.P(), c.Q(), c.R()
 	subDim, lgP := tubeDims(c)
-	if parent.Dim() < subDim+lgP {
+	if mach.Dim() < subDim+lgP {
 		merr.Throwf(merr.ErrMachineTooSmall,
 			"hcmonge: tube search needs a %d-dimensional machine, have %d dimensions",
-			subDim+lgP, parent.Dim())
+			subDim+lgP, mach.Dim())
 	}
-	defer countSearch(parent, "tube")()
+	defer countSearch(mach, "tube")()
 	argJ := make([][]int, p)
 	vals := make([][]float64, p)
 	dims := make([]int, p)
 	for i := range dims {
 		dims[i] = subDim
 	}
-	parent.ParallelDo(dims, func(i int, sub *hc.Machine) {
+	mach.ParallelDo(dims, func(i int, sub *hc.Machine) {
 		// Charged stand-in for distributing d[i,*] and the E columns into
 		// this slice's subcube.
 		sub.Local(sub.Dim(), func(int) {})
@@ -73,13 +63,9 @@ func tubeSearchOn(parent *hc.Machine, c marray.Composite, maxima bool) ([][]int,
 			}
 			return wcell[int]{col: -1}
 		})
-		sign := 1.0
-		if maxima {
-			sign = -1.0
-		}
 		pr := &problem[int, int]{
 			f: func(k, j int) float64 {
-				return sign * (c.D.At(i, j) + c.E.At(j, k))
+				return -(c.D.At(i, j) + c.E.At(j, k))
 			},
 			tieRight: true, // rightmost in reversed order = leftmost j
 		}

@@ -12,7 +12,7 @@ import (
 // (exec.Recycle), one scratch.FreeList per element type: Exchange,
 // CondSwap and NewVec check slices out, Vec.Free returns them, and
 // Machine.Reset releases everything. Children created by
-// Subcubes/ParallelDo share the parent's arena, so a subproblem's route
+// ParallelDo share the parent's arena, so a subproblem's route
 // buffers feed the next subproblem.
 //
 // Zeroing contract: a checkout is cleared only when the caller exposes

@@ -77,13 +77,13 @@ func TestVecArenaWarmRunMatchesCold(t *testing.T) {
 	}
 }
 
-// Child machines recycled across Subcubes rounds must keep the accounting
+// Child machines recycled across ParallelDo rounds must keep the accounting
 // contract: counters identical run to run.
 func TestVecArenaChildRecyclingAccounting(t *testing.T) {
 	run := func() (int64, int64) {
 		m := New(Cube, 4)
 		for round := 0; round < 3; round++ {
-			m.Subcubes(2, func(c int, sub *Machine) {
+			m.ParallelDo([]int{2, 2, 2, 2}, func(c int, sub *Machine) {
 				v := NewVec(sub, func(p int) int { return p })
 				Scan(sub, v, func(a, b int) int { return a + b }).Free()
 				v.Free()

@@ -36,7 +36,7 @@
 // charged to the time and communication counters — the step completes when
 // its slowest link completes — while the delivered data is exact, so all
 // algorithms return identical index vectors under any fault schedule.
-// Children created by Subcubes and ParallelDo inherit both.
+// Children created by ParallelDo inherit both.
 //
 // The runtime envelope is exec.Sim, which Machine embeds and shares with
 // the PRAM of internal/pram: the time/work counters, the worker pool, the
@@ -235,23 +235,6 @@ func (m *Machine) beginExchange(dim int) exec.Step {
 	return st
 }
 
-// Subcubes partitions the machine into 2^k complete sub-hypercubes of
-// dimension d-k (fixing the high k address bits) and runs body on each:
-// ParallelDo over 2^k equal dimensions. Subcube c comprises parent
-// processors c*2^(d-k) .. (c+1)*2^(d-k)-1; the body addresses them by their
-// low d-k bits. This realises the paper's requirement that recursive
-// subproblems be assigned to complete sub-hypercubes (Theorem 3.2).
-func (m *Machine) Subcubes(k int, body func(c int, sub *Machine)) {
-	if k < 0 || k > m.d {
-		merr.Throwf(merr.ErrDimensionMismatch, "hypercube: Subcubes(%d) of a %d-cube", k, m.d)
-	}
-	dims := make([]int, 1<<k)
-	for c := range dims {
-		dims[c] = m.d - k
-	}
-	m.ParallelDo(dims, body)
-}
-
 // ParallelDo composes independent sub-computations running simultaneously
 // on disjoint processor groups: branch b runs on a child machine of
 // dimension dims[b] and the same network kind. The parent is charged the
@@ -259,6 +242,8 @@ func (m *Machine) Subcubes(k int, body func(c int, sub *Machine)) {
 // communication, mirroring pram.ParallelDo. Branch data must first be
 // routed into position on the parent (charged), after which identifying
 // branch processors with a group of parent processors is pure relabelling.
+// Equal dimensions split the machine into complete sub-hypercubes, as the
+// recursion of Theorem 3.2 requires.
 func (m *Machine) ParallelDo(dims []int, body func(b int, sub *Machine)) {
 	var sumComm int64
 	exec.ParallelDo(&m.Sim, len(dims),

@@ -154,10 +154,13 @@ func TestSameResultsAcrossKinds(t *testing.T) {
 	}
 }
 
+// TestSubcubes splits a 4-cube into four 2-dimensional sub-hypercubes
+// with ParallelDo: each runs its own scan, and the parent is charged
+// the maximum branch time.
 func TestSubcubes(t *testing.T) {
 	m := NewCube(4)
 	got := make([]int, 4)
-	m.Subcubes(2, func(c int, sub *Machine) {
+	m.ParallelDo([]int{2, 2, 2, 2}, func(c int, sub *Machine) {
 		if sub.Size() != 4 || sub.Dim() != 2 {
 			t.Fatalf("subcube %d has size %d", c, sub.Size())
 		}
@@ -182,16 +185,6 @@ func TestSubcubes(t *testing.T) {
 	if m.Time() != single {
 		t.Fatalf("parent time %d, want max child %d", m.Time(), single)
 	}
-}
-
-func TestSubcubesBadK(t *testing.T) {
-	m := NewCube(3)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("bad k should panic")
-		}
-	}()
-	m.Subcubes(4, func(int, *Machine) {})
 }
 
 func TestCondSwap(t *testing.T) {

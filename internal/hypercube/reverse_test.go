@@ -80,7 +80,7 @@ func TestRouteCollisionDetected(t *testing.T) {
 
 func TestSubcubeWorkSums(t *testing.T) {
 	m := NewCube(4)
-	m.Subcubes(2, func(c int, sub *Machine) {
+	m.ParallelDo([]int{2, 2, 2, 2}, func(c int, sub *Machine) {
 		sub.Local(1, func(int) {})
 	})
 	// 4 subcubes x 4 procs x 1 op = 16 work, but only max time = 1.

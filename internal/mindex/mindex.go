@@ -16,20 +16,30 @@
 // envelope's owner row is nonincreasing in j and is stored as O(rows)
 // breakpoint intervals. Envelopes are built bottom-up: two children
 // envelopes cross at most once, and the crossing column is found by
-// binary search, so the whole hierarchy costs O(m log m log n) envelope
-// work on top of one linear pass over the input. Each node also stores
-// per-interval maxima with a sparse table over them, so the maximum of
-// any run of whole intervals is found in O(1).
+// binary search. Each node also stores per-interval maxima with a
+// sparse table over them, so the maximum of any run of whole intervals
+// is found in O(1).
+//
+// The same hierarchy over the transpose answers the one question the
+// row hierarchy cannot: the maximum of a single row over a column
+// range. Each canonical column block stores, for every row, the
+// block's leftmost argmax column; by the same Monge argument that owner
+// column is nonincreasing in the row, so a column node is just its
+// breakpoints and owners, merged by one binary-searched crossing. A
+// single-row range maximum decomposes the range into O(log n) canonical
+// column blocks and reads one entry in each. Leaf envelopes, the
+// interval maxima of merged nodes and a query's boundary cuts all
+// resolve through it, so Build reads O((m+n) log m log n) entries —
+// O(n log m) for the column merges, O(log n) per interval of the row
+// hierarchy, O(m+n) for the row minima — and never the whole array.
 //
 // A query [r1,r2] x [c1,c2] decomposes the row range into O(log m)
 // canonical nodes. In each node the column range cuts at most two
 // breakpoint intervals; whole intervals are answered by the sparse
-// table, and the two cut intervals fall back to a per-row block-maxima
-// table (one value per 64 columns, filled by the same linear input
-// pass), giving O(log m log n) envelope steps plus O(B + n/B) boundary
-// work per cut — polylogarithmic envelope navigation with a small,
-// constant-bounded scan tail, never the O(m + n) of an uncached SMAWK
-// call.
+// table, and a cut interval whose stored argmax falls outside the cut
+// is answered by the column hierarchy: O(log m log n) envelope steps
+// and O(log n) entry reads per cut, never the O(m + n) of an uncached
+// SMAWK call.
 //
 // # Contracts
 //
@@ -44,12 +54,12 @@
 // rows) would.
 //
 // An Index is immutable after Build and safe for concurrent queries
-// from any number of goroutines; implicit (non-Dense) inputs are
-// evaluated directly, since the build sweeps each entry about once and
-// a query's boundary scans touch a few hundred. The build path
+// from any number of goroutines; inputs are evaluated directly, since
+// the build reads a polylogarithmic number of entries per row and
+// column and a query's boundary cuts read a few dozen. The build path
 // participates in the repository's deterministic fault discipline: an
 // injector (Opts.Faults, defaulting to the process-wide one) can
-// declare any build unit transiently faulty, and the builder recomputes
+// declare any build unit transiently faulty, and Build recomputes
 // that unit — results are pure, so recovery is index-exact by
 // construction.
 package mindex
@@ -65,24 +75,19 @@ import (
 	"monge/internal/smawk"
 )
 
-// blockShift is lg of the per-row block-maxima width: 64 columns per
-// block keeps the boundary scans of a query at most 128 entries while
-// costing one stored value per 64 input entries.
-const blockShift = 6
-
 // walkMaxIvals and packedMinIvals split findInterval into three
-// regimes by interval count K. Small nodes (K <= walkMaxIvals) walk
+// regimes by interval count K. Small envelopes (K <= walkMaxIvals) walk
 // their handful of breakpoints forward — fewer than one cache line of
-// bp, and the walk beats any structure. Mid nodes binary-search bp,
+// bp, and the walk beats any structure. Mid envelopes binary-search bp,
 // whose few hundred bytes the cut path pulls into cache anyway. Only
-// large nodes (K >= packedMinIvals) carry the packed predecessor
-// bitmap over their breakpoint columns, where locating an interval is
-// one masked popcount — the predecessor-search view of the query
-// (arXiv 1502.07663) — touching two cache lines where a binary search
-// over a multi-KB bp would take log K cold probes. Only nodes spanning
-// >= packedMinIvals rows can reach the packed regime, so the bitmaps
-// cost O((m/packedMinIvals) * n/64) words and never crowd the caches
-// the boundary cuts need.
+// large envelopes (K >= packedMinIvals) carry the packed predecessor
+// bitmap over their breakpoints, where locating an interval is one
+// masked popcount — the predecessor-search view of the query (arXiv
+// 1502.07663) — touching two cache lines where a binary search over a
+// multi-KB bp would take log K cold probes. Only nodes spanning >=
+// packedMinIvals rows (columns) can reach the packed regime, so the
+// bitmaps cost O((m/packedMinIvals) * n/64) words on the row side, and
+// the transpose on the column side.
 const (
 	walkMaxIvals   = 7
 	packedMinIvals = 64
@@ -104,43 +109,53 @@ type Opts struct {
 	Faults *faults.Injector
 }
 
-// node is one canonical row block [lo, hi) of the hierarchy with its
-// column-maxima envelope. bp holds K+1 breakpoints (bp[0] = 0, bp[K] =
-// n); own[k] owns columns [bp[k], bp[k+1]) and is strictly decreasing
-// in k. ivMax/ivArg hold each interval's maximum value and its leftmost
-// column (-1 when the interval is entirely blocked), and sp is the
-// flattened sparse table over intervals (spL levels, stride K). For
-// nodes with >= packedMinIvals intervals, pw is a bitmap over the
-// column space with one bit set per interval start and pr the per-word
-// prefix ranks, so findInterval is a single masked popcount.
+// env is one canonical block's upper envelope over the other axis
+// (columns for a row block, rows for a column block). bp holds K+1
+// breakpoints (bp[0] = 0, bp[K] = the axis length); own[k] owns
+// positions [bp[k], bp[k+1]) and is strictly decreasing in k.
+// Envelopes with >= packedMinIvals intervals carry pk, their packed
+// predecessor structure.
+type env struct {
+	bp  []int32
+	own []int32
+	pk  *packed
+}
+
+// packed is a bitmap over an envelope's axis with one bit set per
+// interval start (pw) and the per-word prefix ranks (pr), so
+// findInterval is a single masked popcount.
+type packed struct {
+	pw []uint64
+	pr []int32
+}
+
+// node is one canonical row block of the hierarchy: its column
+// envelope plus, per interval, the maximum value and its leftmost
+// column (-1 when the interval is entirely blocked), and sp, the
+// flattened sparse table over intervals (stride K).
 type node struct {
-	lo, hi      int32
-	left, right int32
-	bp          []int32
-	own         []int32
-	ivMax       []float64
-	ivArg       []int32
-	sp          []int32
-	spL         int32
-	pw          []uint64
-	pr          []int32
+	env
+	ivMax []float64
+	ivArg []int32
+	sp    []int32
 }
 
 // Index answers submatrix maximum and row-range minima queries over one
 // Monge or staircase-Monge array. Build it with Build; it is immutable
 // afterwards and safe for concurrent use.
+//
+// Both hierarchies are stored in preorder: the node for block [lo, hi)
+// at position v has its children [lo, mid) at v+1 and [mid, hi) at
+// v+2*(mid-lo), with mid = (lo+hi)/2, so no node stores its range or
+// its links.
 type Index struct {
 	a    marray.Matrix // the input, evaluated directly
-	d    *marray.Dense // non-nil for dense inputs: zero-copy row views
 	m, n int
-
-	nblk   int       // blocks per row
-	blkVal []float64 // m*nblk per-row block maxima
-	blkArg []int32   // m*nblk leftmost argmax columns (-1: block all blocked)
 
 	rowMin []int32 // per-row leftmost full-row minima (-1: row all blocked)
 
-	nodes []node
+	nodes []node // row hierarchy, 2m-1 nodes
+	cols  []env  // column hierarchy, 2n-1 nodes
 	bytes int64
 }
 
@@ -170,37 +185,47 @@ func Build(a marray.Matrix, opt Opts) *Index {
 		inj = faults.Global()
 	}
 	ix := &Index{a: a, m: m, n: n}
-	if d, dense := a.(*marray.Dense); dense {
-		ix.d = d
-	}
-
-	// One linear pass over the input: per-row block maxima. Everything
-	// later (leaf envelopes, merge straddlers, query boundary cuts)
-	// resolves row-range maxima through this table instead of rescanning
-	// the matrix.
-	ix.nblk = (n + (1 << blockShift) - 1) >> blockShift
-	ix.blkVal = make([]float64, m*ix.nblk)
-	ix.blkArg = make([]int32, m*ix.nblk)
-	for i := 0; i < m; i++ {
-		buildUnit(inj, int64(i), func() { ix.fillRowBlocks(i) })
-	}
 
 	// Row minima for RangeRowMinima, via the smawk Into-variants (one
-	// pooled-workspace call for the whole array).
+	// pooled-workspace call for the whole array). Build unit 0.
 	ix.rowMin = make([]int32, m)
-	buildUnit(inj, int64(m), func() { ix.fillRowMinima() })
+	buildUnit(inj, 0, func() { ix.fillRowMinima() })
 
-	// The canonical hierarchy, leaves first.
-	ix.nodes = make([]node, 0, 2*m-1)
-	ix.buildNode(inj, 0, m)
+	b := &buildState{Index: ix, inj: inj,
+		ids:   make([]int32, max(m, n)),
+		colBP: []int32{0, int32(m)}, rowBP: []int32{0, int32(n)},
+		leafMax: make([]float64, m), leafArg: make([]int32, m), leafSP: []int32{0}}
+	for i := range b.ids {
+		b.ids[i] = int32(i)
+	}
+	// The column hierarchy first (units 1 .. 2n-1): every row-side
+	// interval maximum resolves through it.
+	ix.cols = make([]env, 2*n-1)
+	b.buildCols(0, 0, n)
 
-	ix.bytes = int64(len(ix.blkVal))*8 + int64(len(ix.blkArg))*4 + int64(len(ix.rowMin))*4
+	// The row hierarchy (units 2n .. 2n+2m-2).
+	ix.nodes = make([]node, 2*m-1)
+	b.buildRows(0, 0, m)
+
+	ix.bytes = int64(len(ix.rowMin)) * 4
 	for i := range ix.nodes {
 		nd := &ix.nodes[i]
-		ix.bytes += int64(len(nd.bp)+len(nd.own)+len(nd.ivArg)+len(nd.sp)+len(nd.pr))*4 +
-			int64(len(nd.ivMax)+len(nd.pw))*8 + 32
+		ix.bytes += nd.env.bytes() + int64(len(nd.ivArg)+len(nd.sp))*4 + int64(len(nd.ivMax))*8
+	}
+	for i := range ix.cols {
+		ix.bytes += ix.cols[i].bytes()
 	}
 	return ix
+}
+
+// bytes is the envelope's footprint: its arrays plus a fixed 32 bytes
+// standing for the node itself.
+func (e *env) bytes() int64 {
+	b := int64(len(e.bp)+len(e.own))*4 + 32
+	if e.pk != nil {
+		b += int64(len(e.pk.pr))*4 + int64(len(e.pk.pw))*8
+	}
+	return b
 }
 
 // buildUnit runs one pure build unit under the fault discipline: a
@@ -214,59 +239,6 @@ func buildUnit(inj *faults.Injector, unit int64, f func()) {
 			return
 		}
 	}
-}
-
-// fillRowBlocks computes row i's block maxima (leftmost argmax per
-// 64-column block). Dense rows run the shared branchless kernel on the
-// zero-copy row view — ArgMaxFinite skips +Inf (blocked) entries
-// exactly as ev maps them to -Inf — and implicit rows pay one At per
-// entry.
-func (ix *Index) fillRowBlocks(i int) {
-	base := i * ix.nblk
-	var row []float64
-	if ix.d != nil {
-		row = ix.d.RowView(i)
-	}
-	for b := 0; b < ix.nblk; b++ {
-		lo := b << blockShift
-		hi := lo + (1 << blockShift)
-		if hi > ix.n {
-			hi = ix.n
-		}
-		if row != nil {
-			ix.blkVal[base+b], ix.blkArg[base+b] = segMax(row, lo, hi)
-			continue
-		}
-		best, barg := math.Inf(-1), int32(-1)
-		for j := lo; j < hi; j++ {
-			if v := ix.ev(i, j); v > best {
-				best, barg = v, int32(j)
-			}
-		}
-		ix.blkVal[base+b] = best
-		ix.blkArg[base+b] = barg
-	}
-}
-
-// segMax returns the maximum of row[x:y] and its leftmost column under
-// the index contract: +Inf (blocked) never wins, an all-blocked
-// segment answers (-Inf, -1). Segments here are at most one 64-column
-// block, where a tight scalar loop over the slice beats the 4-wide
-// branchless kernels (their lane setup and merge only amortize on long
-// rows); the win over the generic path is skipping the per-entry
-// interface call, not the loop shape.
-func segMax(row []float64, x, y int) (float64, int32) {
-	best, barg := math.Inf(-1), int32(-1)
-	for j := x; j < y; j++ {
-		v := row[j]
-		if math.IsInf(v, 1) {
-			continue
-		}
-		if v > best {
-			best, barg = v, int32(j)
-		}
-	}
-	return best, barg
 }
 
 // fillRowMinima computes the full-row leftmost minima table through the
@@ -284,185 +256,181 @@ func (ix *Index) fillRowMinima() {
 	}
 }
 
-// rowRangeMax returns the maximum of row r over columns [c1, c2]
-// (inclusive) and its leftmost column, resolving whole blocks through
-// the block-maxima table: O(B + n/B) work. Returns (-Inf, -1) when the
-// range is entirely blocked.
-func (ix *Index) rowRangeMax(r, c1, c2 int) (float64, int32) {
-	b1, b2 := c1>>blockShift, c2>>blockShift
-	if ix.d != nil {
-		// Dense rows: the two boundary cuts run the branchless kernel
-		// on subslices of the zero-copy row view, and the whole-block
-		// run is one branchless scan over the stored block maxima.
-		// Candidates fold in ascending column order under strict >,
-		// which keeps the leftmost maximizer.
-		row := ix.d.RowView(r)
-		if b1 == b2 {
-			return segMax(row, c1, c2+1)
-		}
-		best, barg := segMax(row, c1, (b1+1)<<blockShift)
-		base := r * ix.nblk
-		for b := base + b1 + 1; b < base+b2; b++ {
-			if v := ix.blkVal[b]; v > best {
-				best, barg = v, ix.blkArg[b]
-			}
-		}
-		if v, j := segMax(row, b2<<blockShift, c2+1); v > best {
-			best, barg = v, j
-		}
-		return best, barg
-	}
-	best, barg := math.Inf(-1), int32(-1)
-	consider := func(v float64, j int32) {
-		if v > best {
-			best, barg = v, j
-		}
-	}
-	if b1 == b2 {
-		for j := c1; j <= c2; j++ {
-			consider(ix.ev(r, j), int32(j))
-		}
-		return best, barg
-	}
-	for j := c1; j < (b1+1)<<blockShift; j++ {
-		consider(ix.ev(r, j), int32(j))
-	}
-	base := r * ix.nblk
-	for b := b1 + 1; b < b2; b++ {
-		consider(ix.blkVal[base+b], ix.blkArg[base+b])
-	}
-	for j := b2 << blockShift; j <= c2; j++ {
-		consider(ix.ev(r, j), int32(j))
-	}
-	return best, barg
+// buildState carries one Build: its fault injector and the arrays that
+// back every leaf of both hierarchies, so leaves allocate nothing of
+// their own.
+type buildState struct {
+	*Index
+	inj     *faults.Injector
+	ids     []int32   // 0 .. max(m, n)-1: the leaves' owners
+	colBP   []int32   // {0, m}: every column leaf's breakpoints
+	rowBP   []int32   // {0, n}: every row leaf's breakpoints
+	leafMax []float64 // row leaf maxima, by row
+	leafArg []int32   // row leaf argmax columns, by row
+	leafSP  []int32   // {0}: every one-interval sparse table
 }
 
-// buildNode builds the hierarchy node for rows [lo, hi) and returns its
-// index. Children are built first; the parent envelope is the merge of
-// theirs.
-func (ix *Index) buildNode(inj *faults.Injector, lo, hi int) int32 {
-	v := int32(len(ix.nodes))
-	ix.nodes = append(ix.nodes, node{lo: int32(lo), hi: int32(hi), left: -1, right: -1})
+// buildCols builds column node v for columns [lo, hi). A leaf is its
+// own column's envelope: the column owns every row, with no reads. A
+// parent merges its children's envelopes at their crossing row.
+func (b *buildState) buildCols(v int32, lo, hi int) {
 	if hi-lo == 1 {
-		buildUnit(inj, int64(ix.m)+1+int64(v), func() { ix.leafEnvelope(v, lo) })
-		return v
+		b.cols[v] = env{bp: b.colBP, own: b.ids[lo : lo+1 : lo+1]}
+		return
 	}
 	mid := (lo + hi) / 2
-	l := ix.buildNode(inj, lo, mid)
-	r := ix.buildNode(inj, mid, hi)
-	ix.nodes[v].left, ix.nodes[v].right = l, r
-	buildUnit(inj, int64(ix.m)+1+int64(v), func() { ix.mergeEnvelopes(v, l, r) })
-	return v
-}
-
-// leafEnvelope fills node v for the single row lo: one interval owning
-// every column.
-func (ix *Index) leafEnvelope(v int32, lo int) {
-	val, arg := ix.rowRangeMax(lo, 0, ix.n-1)
-	nd := &ix.nodes[v]
-	nd.bp = []int32{0, int32(ix.n)}
-	nd.own = []int32{int32(lo)}
-	nd.ivMax = []float64{val}
-	nd.ivArg = []int32{arg}
-	nd.buildSparse()
-}
-
-// envAt evaluates node v's envelope at column j: the value of the
-// owning row there.
-func (ix *Index) envAt(v int32, j int) float64 {
-	nd := &ix.nodes[v]
-	k := nd.findInterval(j)
-	return ix.ev(int(nd.own[k]), j)
-}
-
-// mergeEnvelopes fills parent node v from children l (smaller rows) and
-// r (larger rows). The two envelopes cross at most once: the smaller
-// rows win a suffix of the columns (ties included — ties go to the
-// smaller row), so the crossing column is found by binary search and
-// the parent is r's envelope before it and l's from it on. Interval
-// maxima are inherited except for the at-most-two intervals the
-// crossing cuts, which are recomputed through the block-maxima table.
-func (ix *Index) mergeEnvelopes(v, l, r int32) {
-	n := ix.n
-	cross := sort.Search(n, func(j int) bool {
-		return ix.envAt(l, j) >= ix.envAt(r, j)
+	l, r := v+1, v+int32(2*(mid-lo))
+	b.buildCols(l, lo, mid)
+	b.buildCols(r, mid, hi)
+	buildUnit(b.inj, 1+int64(v), func() {
+		ln, rn := &b.cols[l], &b.cols[r]
+		b.cols[v] = splice(ln, rn, crossing(ln, rn, b.m, b.colEnvAt), b.m)
 	})
-	ln, rn := &ix.nodes[l], &ix.nodes[r]
-	if cross == 0 {
-		nd := &ix.nodes[v]
-		nd.bp, nd.own, nd.ivMax, nd.ivArg = ln.bp, ln.own, ln.ivMax, ln.ivArg
-		nd.sp, nd.spL = ln.sp, ln.spL
-		nd.pw, nd.pr = ln.pw, ln.pr
-		return
-	}
-	if cross == n {
-		nd := &ix.nodes[v]
-		nd.bp, nd.own, nd.ivMax, nd.ivArg = rn.bp, rn.own, rn.ivMax, rn.ivArg
-		nd.sp, nd.spL = rn.sp, rn.spL
-		nd.pw, nd.pr = rn.pw, rn.pr
-		return
-	}
-	bp := make([]int32, 0, len(rn.own)+len(ln.own)+1)
-	own := make([]int32, 0, len(rn.own)+len(ln.own))
-	ivMax := make([]float64, 0, cap(own))
-	ivArg := make([]int32, 0, cap(own))
-	add := func(start int32, owner int32, val float64, arg int32) {
-		bp = append(bp, start)
-		own = append(own, owner)
-		ivMax = append(ivMax, val)
-		ivArg = append(ivArg, arg)
-	}
-	c := int32(cross)
-	for k := range rn.own {
-		start := rn.bp[k]
-		if start >= c {
-			break
-		}
-		if end := rn.bp[k+1]; end <= c {
-			add(start, rn.own[k], rn.ivMax[k], rn.ivArg[k])
-		} else {
-			val, arg := ix.rowRangeMax(int(rn.own[k]), int(start), cross-1)
-			add(start, rn.own[k], val, arg)
-		}
-	}
-	for k := range ln.own {
-		end := ln.bp[k+1]
-		if end <= c {
-			continue
-		}
-		if start := ln.bp[k]; start >= c {
-			add(start, ln.own[k], ln.ivMax[k], ln.ivArg[k])
-		} else {
-			val, arg := ix.rowRangeMax(int(ln.own[k]), cross, int(end)-1)
-			add(c, ln.own[k], val, arg)
-		}
-	}
-	bp = append(bp, int32(n))
-	nd := &ix.nodes[v]
-	nd.bp, nd.own, nd.ivMax, nd.ivArg = bp, own, ivMax, ivArg
-	nd.buildSparse()
-	nd.buildPacked(n)
 }
 
-// buildPacked fills the node's packed predecessor structure when it
-// has enough intervals to profit: one bit per interval start in a
-// bitmap over the columns, plus per-word prefix ranks. findInterval is
+// buildRows builds row node v for rows [lo, hi). A leaf is its row's
+// envelope: the row owns every column, and its one interval maximum is
+// the row's. A parent merges its children's envelopes at their
+// crossing column and inherits the whole child when the crossing
+// leaves nothing to the other one.
+func (b *buildState) buildRows(v int32, lo, hi int) {
+	unit := int64(len(b.cols)) + 1 + int64(v)
+	if hi-lo == 1 {
+		buildUnit(b.inj, unit, func() {
+			b.leafMax[lo], b.leafArg[lo] = b.rowRangeMax(lo, 0, b.n-1)
+			b.nodes[v] = node{env: env{bp: b.rowBP, own: b.ids[lo : lo+1 : lo+1]},
+				ivMax: b.leafMax[lo : lo+1 : lo+1], ivArg: b.leafArg[lo : lo+1 : lo+1], sp: b.leafSP}
+		})
+		return
+	}
+	mid := (lo + hi) / 2
+	l, r := v+1, v+int32(2*(mid-lo))
+	b.buildRows(l, lo, mid)
+	b.buildRows(r, mid, hi)
+	buildUnit(b.inj, unit, func() {
+		ln, rn := &b.nodes[l], &b.nodes[r]
+		switch cross := crossing(&ln.env, &rn.env, b.n, b.rowEnvAt); cross {
+		case 0:
+			b.nodes[v] = *ln
+		case b.n:
+			b.nodes[v] = *rn
+		default:
+			b.fillMaxima(v, splice(&ln.env, &rn.env, cross, b.n))
+		}
+	})
+}
+
+// fillMaxima sets row node v to envelope e with each interval's maximum
+// and leftmost argmax, read from the column hierarchy, and the sparse
+// table over them.
+func (ix *Index) fillMaxima(v int32, e env) {
+	k := len(e.own)
+	nd := node{env: e, ivMax: make([]float64, k), ivArg: make([]int32, k)}
+	for i, row := range e.own {
+		nd.ivMax[i], nd.ivArg[i] = ix.rowRangeMax(int(row), int(e.bp[i]), int(e.bp[i+1])-1)
+	}
+	nd.buildSparse()
+	ix.nodes[v] = nd
+}
+
+// rowEnvAt evaluates a row node's envelope at column j: the value of
+// the owning row there.
+func (ix *Index) rowEnvAt(e *env, j int) float64 {
+	return ix.ev(int(e.own[e.findInterval(j)]), j)
+}
+
+// colEnvAt evaluates a column node's envelope at row i: the value of
+// the owning column there.
+func (ix *Index) colEnvAt(e *env, i int) float64 {
+	return ix.ev(i, int(e.own[e.findInterval(i)]))
+}
+
+// crossing returns where envelopes l (smaller owners) and r (larger
+// owners) over an axis of length n cross, given at, the value of an
+// envelope at a position: the first position where l is at least r,
+// or n. The two cross at most once: the smaller owners win a suffix of
+// the axis (ties included — ties go to the smaller owner), so the
+// crossing is a binary search.
+func crossing(l, r *env, n int, at func(e *env, p int) float64) int {
+	return sort.Search(n, func(p int) bool { return at(l, p) >= at(r, p) })
+}
+
+// splice returns the merge of envelopes l and r that cross at cross:
+// r's envelope before it and l's from it on. A crossing at either end
+// returns that child's envelope itself.
+func splice(l, r *env, cross, n int) env {
+	switch cross {
+	case 0:
+		return *l
+	case n:
+		return *r
+	}
+	// r keeps its intervals [0, kr), the one holding cross-1 cut short;
+	// l keeps [kl, K), the one holding cross starting there.
+	kr := int(r.findInterval(cross-1)) + 1
+	kl := int(l.findInterval(cross))
+	k := kr + len(l.own) - kl
+	buf := make([]int32, 2*k+1)
+	e := env{bp: buf[:k+1], own: buf[k+1:]}
+	copy(e.bp, r.bp[:kr])
+	copy(e.own, r.own[:kr])
+	copy(e.bp[kr:], l.bp[kl:])
+	copy(e.own[kr:], l.own[kl:])
+	e.bp[kr] = int32(cross)
+	e.buildPacked(n)
+	return e
+}
+
+// rowRangeMax returns the maximum of row r over columns [x, y]
+// (inclusive) and its leftmost column, from the O(log n) canonical
+// column blocks covering the range: one envelope lookup and one entry
+// read each. Returns (-Inf, -1) when the range is entirely blocked.
+func (ix *Index) rowRangeMax(r, x, y int) (float64, int32) {
+	best, arg := math.Inf(-1), int32(-1)
+	ix.colRangeMax(0, 0, ix.n, r, x, y+1, &best, &arg)
+	return best, arg
+}
+
+// colRangeMax folds the canonical column blocks of [x, y) under node v
+// (columns [lo, hi)) into best/arg, left to right under strict >, so
+// the leftmost maximizer wins.
+func (ix *Index) colRangeMax(v int32, lo, hi, r, x, y int, best *float64, arg *int32) {
+	if x <= lo && hi <= y {
+		e := &ix.cols[v]
+		c := e.own[e.findInterval(r)]
+		if val := ix.ev(r, int(c)); val > *best {
+			*best, *arg = val, c
+		}
+		return
+	}
+	mid := (lo + hi) / 2
+	if x < mid {
+		ix.colRangeMax(v+1, lo, mid, r, x, y, best, arg)
+	}
+	if y > mid {
+		ix.colRangeMax(v+int32(2*(mid-lo)), mid, hi, r, x, y, best, arg)
+	}
+}
+
+// buildPacked fills the envelope's packed predecessor structure when
+// it has enough intervals to profit: one bit per interval start in a
+// bitmap over the axis, plus per-word prefix ranks. findInterval is
 // then rank(j) - 1 — a load, a mask, and a popcount.
-func (nd *node) buildPacked(n int) {
-	if len(nd.own) < packedMinIvals {
+func (e *env) buildPacked(n int) {
+	if len(e.own) < packedMinIvals {
 		return
 	}
 	words := (n + 63) >> 6
-	nd.pw = make([]uint64, words)
-	for _, start := range nd.bp[:len(nd.own)] {
-		nd.pw[start>>6] |= 1 << (uint(start) & 63)
+	pk := &packed{pw: make([]uint64, words), pr: make([]int32, words)}
+	for _, start := range e.bp[:len(e.own)] {
+		pk.pw[start>>6] |= 1 << (uint(start) & 63)
 	}
-	nd.pr = make([]int32, words)
 	c := int32(0)
-	for w, word := range nd.pw {
-		nd.pr[w] = c
+	for w, word := range pk.pw {
+		pk.pr[w] = c
 		c += int32(bits.OnesCount64(word))
 	}
+	e.pk = pk
 }
 
 // buildSparse fills the node's sparse table: sp[l*K+k] is the best
@@ -474,7 +442,6 @@ func (nd *node) buildSparse() {
 	for 1<<levels <= k {
 		levels++
 	}
-	nd.spL = int32(levels)
 	nd.sp = make([]int32, levels*k)
 	for i := 0; i < k; i++ {
 		nd.sp[i] = int32(i)
@@ -512,24 +479,24 @@ func (nd *node) rangeBest(ka, kb int32) int32 {
 	return nd.betterInterval(nd.sp[int32(l)*k+ka], nd.sp[int32(l)*k+kb+1-int32(1<<l)])
 }
 
-// findInterval returns the interval index containing column j: the
-// number of interval starts at or before j, minus one. Packed nodes
-// answer with one masked popcount (bp[0] = 0 guarantees rank >= 1);
-// small nodes walk their breakpoints forward (the walk ends because
-// bp[K] = n > j); mid nodes binary-search bp.
-func (nd *node) findInterval(j int) int32 {
-	if nd.pw != nil {
+// findInterval returns the interval index containing position j: the
+// number of interval starts at or before j, minus one. Packed
+// envelopes answer with one masked popcount (bp[0] = 0 guarantees rank
+// >= 1); small ones walk their breakpoints forward (the walk ends
+// because bp[K] > j); mid ones binary-search bp.
+func (e *env) findInterval(j int) int32 {
+	if pk := e.pk; pk != nil {
 		w := j >> 6
-		return int32(int(nd.pr[w])+smawk.Rank64(nd.pw[w], uint(j&63))) - 1
+		return int32(int(pk.pr[w])+smawk.Rank64(pk.pw[w], uint(j&63))) - 1
 	}
-	if len(nd.own) <= walkMaxIvals {
+	if len(e.own) <= walkMaxIvals {
 		k := int32(0)
-		for int(nd.bp[k+1]) <= j {
+		for int(e.bp[k+1]) <= j {
 			k++
 		}
 		return k
 	}
-	idx := sort.Search(len(nd.bp), func(i int) bool { return int(nd.bp[i]) > j })
+	idx := sort.Search(len(e.bp), func(i int) bool { return int(e.bp[i]) > j })
 	return int32(idx - 1)
 }
 
@@ -540,13 +507,14 @@ func (ix *Index) Rows() int { return ix.m }
 func (ix *Index) Cols() int { return ix.n }
 
 // Bytes returns the index's approximate memory footprint, excluding the
-// input array itself: the block-maxima and row-minima tables plus every
-// node's envelope and sparse table.
+// input array itself: the row-minima table, every row node's envelope,
+// interval maxima and sparse table, and every column node's envelope,
+// each node counted at 32 bytes plus its arrays.
 func (ix *Index) Bytes() int64 { return ix.bytes }
 
 // Breakpoints returns the total number of envelope intervals across all
-// hierarchy nodes, the O(m log m) quantity that dominates the envelope
-// storage.
+// row hierarchy nodes, the O(m log m) quantity that dominates the
+// envelope storage.
 func (ix *Index) Breakpoints() int {
 	total := 0
 	for i := range ix.nodes {
@@ -603,21 +571,19 @@ type cutStack struct {
 // The query runs in two phases. The descent phase resolves everything
 // answerable from tables alone — whole-interval runs via the sparse
 // tables, boundary cuts whose stored argmax survives the cut — and
-// defers every cut that would have to rescan a row of the input. The
-// scan phase then processes the deferred cuts best-first: almost all
-// of them are pruned by the interval upper bound against the
-// table-phase maximum, so a typical query touches the input array for
-// at most one or two cuts. On inputs far larger than the caches those
-// row touches are the only cache-cold traffic, which is what keeps
-// tail latency near-flat in n. Candidate order never affects the
-// answer: consider's order is total on (val, row, col).
+// defers every cut that would have to read the input. The scan phase
+// then processes the deferred cuts best-first: almost all of them are
+// pruned by the interval upper bound against the table-phase maximum,
+// so a typical query reads the input for at most one or two cuts.
+// Candidate order never affects the answer: consider's order is total
+// on (val, row, col).
 func (ix *Index) SubmatrixMax(r1, r2, c1, c2 int) Pos {
 	if err := ix.CheckSubmatrix(r1, r2, c1, c2); err != nil {
 		merr.Throw(err)
 	}
 	best := Pos{Row: -1, Col: -1, Val: math.Inf(-1)}
 	var st cutStack
-	ix.query(0, r1, r2+1, c1, c2, &best, &st)
+	ix.query(0, 0, ix.m, r1, r2+1, c1, c2, &best, &st)
 	if st.n > 0 {
 		// Scan the largest upper bound first so the remaining cuts
 		// prune against the strongest possible best.
@@ -640,20 +606,19 @@ func (ix *Index) SubmatrixMax(r1, r2, c1, c2 int) Pos {
 	return best
 }
 
-// query descends the hierarchy from node v, resolving canonical nodes
-// fully inside rows [r1, r2).
-func (ix *Index) query(v int32, r1, r2, c1, c2 int, best *Pos, st *cutStack) {
-	nd := &ix.nodes[v]
-	if r1 <= int(nd.lo) && int(nd.hi) <= r2 {
-		ix.scanNode(nd, c1, c2, best, st)
+// query descends the row hierarchy from node v (rows [lo, hi)),
+// resolving canonical nodes fully inside rows [r1, r2).
+func (ix *Index) query(v int32, lo, hi, r1, r2, c1, c2 int, best *Pos, st *cutStack) {
+	if r1 <= lo && hi <= r2 {
+		ix.scanNode(&ix.nodes[v], c1, c2, best, st)
 		return
 	}
-	mid := int(ix.nodes[nd.left].hi)
+	mid := (lo + hi) / 2
 	if r1 < mid {
-		ix.query(nd.left, r1, r2, c1, c2, best, st)
+		ix.query(v+1, lo, mid, r1, r2, c1, c2, best, st)
 	}
 	if r2 > mid {
-		ix.query(nd.right, r1, r2, c1, c2, best, st)
+		ix.query(v+int32(2*(mid-lo)), mid, hi, r1, r2, c1, c2, best, st)
 	}
 }
 
@@ -674,7 +639,7 @@ func consider(best *Pos, val float64, row, col int32) {
 // scanNode answers max over the node's whole row block restricted to
 // columns [c1, c2]: the at-most-two cut intervals resolve through the
 // stored interval maximum when its argmax survives the cut (O(1)) or
-// the block-maxima table otherwise, and the run of whole intervals
+// the column hierarchy otherwise, and the run of whole intervals
 // between them through the sparse table (O(1)).
 func (ix *Index) scanNode(nd *node, c1, c2 int, best *Pos, st *cutStack) {
 	kl := nd.findInterval(c1)
@@ -711,11 +676,11 @@ func (ix *Index) cutInterval(nd *node, k int32, x, y int, best *Pos, st *cutStac
 }
 
 // scanCut resolves one deferred cut: the stored interval maximum — an
-// upper bound on the cut's maximum — prunes the scan whenever no value
-// the cut could yield would improve best (any cut maximizer has row
-// own[k] and column >= x, so the bound extends to the tie-breaking
-// order); an unpruned cut recomputes the owner's row-range maximum
-// from the block-maxima table and the row itself.
+// upper bound on the cut's maximum — prunes the cut whenever no value
+// it could yield would improve best (any cut maximizer has row own[k]
+// and column >= x, so the bound extends to the tie-breaking order); an
+// unpruned cut asks the column hierarchy for the owner's maximum over
+// the cut.
 func (ix *Index) scanCut(nd *node, k int32, x, y int, best *Pos) {
 	if v, row := nd.ivMax[k], int(nd.own[k]); v < best.Val ||
 		(v == best.Val && (row > best.Row || (row == best.Row && x >= best.Col))) {

@@ -382,3 +382,60 @@ func TestQueryEvaluationsBeatSMAWK(t *testing.T) {
 		t.Fatalf("query p95 %d evaluations x %d > %d of one SMAWK pass", p95, minSpeedupP95, smawkEvals)
 	}
 }
+
+// countingStair counts every At of a staircase input while keeping its
+// Staircase interface, so Build still takes the staircase row-minima
+// path.
+type countingStair struct {
+	marray.Staircase
+	reads *int64
+}
+
+func (c countingStair) At(i, j int) float64 {
+	*c.reads++
+	return c.Staircase.At(i, j)
+}
+
+// ceilLg returns ⌈lg x⌉ for x >= 1.
+func ceilLg(x int) int {
+	l := 0
+	for 1<<l < x {
+		l++
+	}
+	return l
+}
+
+// TestBuildEvaluationsNearLinear pins the build's read bound: on seeded
+// inputs, Build reads at most buildReadsC·(m+n)·⌈lg m⌉·⌈lg n⌉ entries —
+// the column hierarchy answers every single-row range maximum in
+// O(log n) reads, so no input entry is read merely to be tabulated. A
+// build that reads every entry (m·n) fails at each size here.
+func TestBuildEvaluationsNearLinear(t *testing.T) {
+	const buildReadsC = 1
+	var reads int64
+	counting := func(a marray.Matrix) marray.Matrix {
+		return marray.Func{M: a.Rows(), N: a.Cols(), F: func(i, j int) float64 { reads++; return a.At(i, j) }}
+	}
+	rng := rand.New(rand.NewSource(1))
+	cases := []struct {
+		name string
+		a    marray.Matrix
+	}{
+		{"monge-int-1024", counting(marray.RandomMongeInt(rng, 1024, 1024, 8))},
+		{"monge-int-4096", counting(marray.RandomMongeInt(rng, 4096, 4096, 8))},
+		{"inf-heavy-staircase-1024x2048", countingStair{marray.RandomInfHeavyStaircase(rng, 1024, 2048), &reads}},
+	}
+	for _, tc := range cases {
+		m, n := tc.a.Rows(), tc.a.Cols()
+		reads = 0
+		ix := mindex.Build(tc.a, mindex.Opts{Faults: faults.New(0, 0)})
+		bound := int64(buildReadsC * (m + n) * ceilLg(m) * ceilLg(n))
+		t.Logf("%s: %d reads, bound %d, m·n %d", tc.name, reads, bound, m*n)
+		if reads > bound {
+			t.Errorf("%s: Build read %d entries, want <= %d·(m+n)·⌈lg m⌉·⌈lg n⌉ = %d (m·n = %d)",
+				tc.name, reads, buildReadsC, bound, m*n)
+		}
+		checkRect(t, ix, tc.a, m/2, m/2, 0, n-1)
+		checkRect(t, ix, tc.a, 0, m-1, n/2, n/2)
+	}
+}

@@ -43,18 +43,18 @@ func TestFindIntervalMatchesBinarySearch(t *testing.T) {
 	}
 	for li, bp := range layouts {
 		n := int(bp[len(bp)-1])
-		nd := node{bp: bp, own: make([]int32, len(bp)-1)}
+		nd := env{bp: bp, own: make([]int32, len(bp)-1)}
 		nd.buildPacked(n)
-		if len(nd.own) >= packedMinIvals && nd.pw == nil {
+		if len(nd.own) >= packedMinIvals && nd.pk == nil {
 			t.Fatalf("layout %d: K=%d node did not build packed structure", li, len(nd.own))
 		}
-		if len(nd.own) < packedMinIvals && nd.pw != nil {
+		if len(nd.own) < packedMinIvals && nd.pk != nil {
 			t.Fatalf("layout %d: K=%d node built packed structure below threshold", li, len(nd.own))
 		}
 		for j := 0; j < n; j++ {
 			if got, want := nd.findInterval(j), refFindInterval(bp, j); got != want {
 				t.Fatalf("layout %d: findInterval(%d) = %d, want %d (bp=%v, packed=%v)",
-					li, j, got, want, bp, nd.pw != nil)
+					li, j, got, want, bp, nd.pk != nil)
 			}
 		}
 	}

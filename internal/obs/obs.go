@@ -18,7 +18,7 @@
 // WriteTable and WritePrometheus all walk that table, so a new metric is
 // one ID, one descriptor line and its increment site. The counters are
 // cumulative across every machine of the site that observed the same
-// Observer (the recursive children of ParallelDo/Subcubes inherit their
+// Observer (the recursive children of ParallelDo inherit their
 // parent's handles), so one Observer sees a whole algorithm run.
 //
 // # Cost contract
