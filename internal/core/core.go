@@ -4,7 +4,7 @@
 //   - row minima / maxima of two-dimensional Monge and inverse-Monge arrays
 //     (Lemma 2.1 and the [AP89a] algorithms behind Table 1.1),
 //   - row minima of staircase-Monge arrays (Theorem 2.3, Table 1.2),
-//   - tube maxima / minima of Monge-composite arrays (Table 1.3; the CRCW
+//   - tube maxima of Monge-composite arrays (Table 1.3; the CRCW
 //     variant follows Atallah's doubly-logarithmic scheme [Ata89], the CREW
 //     variant the [AP89a, AALM88] logarithmic one).
 //
@@ -46,19 +46,6 @@ func MongeRowMaxima(mach *pram.Machine, a marray.Matrix) []int {
 	// RIGHTMOST maxima correspond to a's leftmost maxima.
 	rev := marray.ReverseCols(a)
 	idx := searchRows(mach, marray.Negate(rev), true)
-	n := a.Cols()
-	out := make([]int, len(idx))
-	for i, j := range idx {
-		out[i] = n - 1 - j
-	}
-	return out
-}
-
-// InverseMongeRowMinima computes leftmost row minima of an inverse-Monge
-// array by the symmetric reduction.
-func InverseMongeRowMinima(mach *pram.Machine, a marray.Matrix) []int {
-	rev := marray.ReverseCols(a)
-	idx := searchRows(mach, rev, true)
 	n := a.Cols()
 	out := make([]int, len(idx))
 	for i, j := range idx {

@@ -25,39 +25,24 @@ import (
 // as a documented deviation; the doubly-logarithmic CRCW minimum itself is
 // implemented and benchmarked as pram.CRCWMinIndex.
 func TubeMaxima(mach *pram.Machine, c marray.Composite) (argJ [][]int, vals [][]float64) {
-	return tubeSearch(mach, c, true)
-}
-
-// TubeMinima is the minimisation analogue of TubeMaxima for composites
-// with inverse-Monge factors (the orientation used by shortest-path
-// applications such as string editing).
-func TubeMinima(mach *pram.Machine, c marray.Composite) (argJ [][]int, vals [][]float64) {
-	return tubeSearch(mach, c, false)
-}
-
-func tubeSearch(mach *pram.Machine, c marray.Composite, maxima bool) ([][]int, [][]float64) {
 	p, q, r := c.P(), c.Q(), c.R()
-	vals := make([][]float64, p)
+	vals = make([][]float64, p)
 	procs := make([]int, p)
 	for i := range procs {
 		procs[i] = q + r
 	}
-	results := make([][]int, p)
+	argJ = make([][]int, p)
 	mach.ParallelDo(procs, func(i int, sub *pram.Machine) {
 		wi := marray.Func{M: r, N: q, F: func(k, j int) float64 {
 			return c.D.At(i, j) + c.E.At(j, k)
 		}}
-		if maxima {
-			results[i] = MongeRowMaxima(sub, wi)
-		} else {
-			results[i] = InverseMongeRowMinima(sub, wi)
-		}
+		argJ[i] = MongeRowMaxima(sub, wi)
 	})
 	for i := 0; i < p; i++ {
 		vals[i] = make([]float64, r)
 		for k := 0; k < r; k++ {
-			vals[i][k] = c.At(i, results[i][k], k)
+			vals[i][k] = c.At(i, argJ[i][k], k)
 		}
 	}
-	return results, vals
+	return argJ, vals
 }

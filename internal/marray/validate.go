@@ -7,14 +7,17 @@ import (
 )
 
 // This file provides the error-returning structural validators used at the
-// public API boundaries. The Check* functions verify the property on every
-// adjacent 2x2 minor in O(m*n) entry evaluations and return a typed error
-// (merr.ErrNotMonge etc.) naming the first violated minor; the
-// Check*Sampled variants probe a deterministic pseudo-random subset of
-// those minors in O(m+n) evaluations, cheap enough for large implicit
-// arrays. Both only ever test inequalities implied by the definitions, so
-// neither can reject a valid array; the sampled variants can merely miss a
-// violation (they are a screen, not a proof).
+// public API boundaries, one exhaustive checker per property: CheckMonge,
+// CheckInverseMonge and CheckStaircaseMonge verify every adjacent 2x2
+// minor (and, for staircases, every row's +Inf boundary) in O(m*n) entry
+// evaluations and return a typed error (merr.ErrNotMonge etc.) naming the
+// first violation; IsMonge, IsInverseMonge and IsStaircasePattern are
+// these checks with the error dropped. The Check*Sampled variants probe a
+// deterministic pseudo-random subset of the same minors and boundaries in
+// O(m+n) evaluations, cheap enough for large implicit arrays. Both only
+// ever test inequalities implied by the definitions, so neither can
+// reject a valid array; the sampled variants can merely miss a violation
+// (they are a screen, not a proof).
 
 // sampleProbeFactor scales the sampled validators' probe count: roughly
 // this many probes per unit of m+n, floored at sampleProbeMin.
@@ -125,59 +128,29 @@ func CheckInverseMongeSampled(a Matrix) error {
 	})
 }
 
-// checkBoundaries verifies the staircase pattern (blocked entries +Inf for
-// minima / -Inf when neg, closed right and downward) on the given rows,
-// which must be increasing; consecutive pairs are compared. rows == nil
-// means every row. O(len(rows) * n).
-func checkBoundaries(a Matrix, neg bool, rows []int) error {
-	sentinelSign := 1
-	kind := "+Inf"
-	if neg {
-		sentinelSign = -1
-		kind = "-Inf"
-	}
+// checkBoundaries verifies the staircase pattern: every row is (finite...,
+// +Inf...) and the first blocked column is nonincreasing in the row, so
+// the blocked region is closed to the right and downward. O(m*n).
+func checkBoundaries(a Matrix) error {
 	n := a.Cols()
 	prev := n
-	first := true
-	boundary := func(i int) (int, error) {
+	for i := 0; i < a.Rows(); i++ {
 		f := n
 		for j := 0; j < n; j++ {
-			inf := math.IsInf(a.At(i, j), sentinelSign)
+			inf := math.IsInf(a.At(i, j), 1)
 			if inf && f == n {
 				f = j
 			}
 			if !inf && f < n {
-				return 0, merr.Errorf(merr.ErrNotStaircase,
-					"row %d has a finite entry at column %d right of the %s boundary %d", i, j, kind, f)
+				return merr.Errorf(merr.ErrNotStaircase,
+					"row %d has a finite entry at column %d right of the +Inf boundary %d", i, j, f)
 			}
 		}
-		return f, nil
-	}
-	visit := func(i int) error {
-		f, err := boundary(i)
-		if err != nil {
-			return err
-		}
-		if !first && f > prev {
+		if f > prev {
 			return merr.Errorf(merr.ErrNotStaircase,
 				"boundary widens from %d to %d at row %d (must be nonincreasing)", prev, f, i)
 		}
-		first = false
 		prev = f
-		return nil
-	}
-	if rows == nil {
-		for i := 0; i < a.Rows(); i++ {
-			if err := visit(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	for _, i := range rows {
-		if err := visit(i); err != nil {
-			return err
-		}
 	}
 	return nil
 }
@@ -189,7 +162,7 @@ func checkBoundaries(a Matrix, neg bool, rows []int) error {
 // screen — the complete staircase-Monge check over all finite minors is
 // O(m^2 n^2) (see IsStaircaseMonge) and reserved for tests.
 func CheckStaircaseMonge(a Matrix) error {
-	if err := checkBoundaries(a, false, nil); err != nil {
+	if err := checkBoundaries(a); err != nil {
 		return err
 	}
 	return checkAllMinors(a, func(a Matrix, i, j int) bool {
@@ -199,27 +172,13 @@ func CheckStaircaseMonge(a Matrix) error {
 	})
 }
 
-// CheckStaircaseInverseMonge is the row-maxima analogue of
-// CheckStaircaseMonge: blocked entries are -Inf and finite minors must
-// satisfy the inverse-Monge inequality.
-func CheckStaircaseInverseMonge(a Matrix) error {
-	if err := checkBoundaries(a, true, nil); err != nil {
-		return err
-	}
-	return checkAllMinors(a, func(a Matrix, i, j int) bool {
-		return !finiteMinor(a, i, j) || inverseMinorOK(a, i, j)
-	}, func(i, j int) error {
-		return merr.Errorf(merr.ErrNotInverseMonge, "finite 2x2 minor at row %d, column %d violates the inverse-Monge inequality", i, j)
-	})
-}
-
 // CheckStaircaseMongeSampled is the O(m+n)-evaluation screen for
 // staircase-Monge arrays: it verifies the boundary pattern on a
 // deterministic sample of adjacent row pairs and the Monge inequality on a
 // deterministic sample of finite adjacent minors. It never rejects a valid
 // staircase-Monge array.
 func CheckStaircaseMongeSampled(a Matrix) error {
-	if err := sampledBoundaries(a, false); err != nil {
+	if err := sampledBoundaries(a); err != nil {
 		return err
 	}
 	return checkSampledMinors(a, func(a Matrix, i, j int) bool {
@@ -233,14 +192,10 @@ func CheckStaircaseMongeSampled(a Matrix) error {
 // of adjacent row pairs using BoundaryOf (binary search, so O(lg n) per
 // row); each pair must have nonincreasing boundaries. Unlike the full
 // check it trusts the rows' (finite..., Inf...) shape.
-func sampledBoundaries(a Matrix, neg bool) error {
+func sampledBoundaries(a Matrix) error {
 	m := a.Rows()
 	if m < 2 {
 		return nil
-	}
-	look := a
-	if neg {
-		look = Negate(a)
 	}
 	probes := sampleProbeFactor * m
 	if probes < sampleProbeMin {
@@ -248,7 +203,7 @@ func sampledBoundaries(a Matrix, neg bool) error {
 	}
 	if probes >= m-1 {
 		for i := 0; i+1 < m; i++ {
-			if err := boundaryPairOK(look, i); err != nil {
+			if err := boundaryPairOK(a, i); err != nil {
 				return err
 			}
 		}
@@ -256,7 +211,7 @@ func sampledBoundaries(a Matrix, neg bool) error {
 	}
 	for t := 0; t < probes; t++ {
 		i := int(splitmix(0xb0a2^uint64(t)) % uint64(m-1))
-		if err := boundaryPairOK(look, i); err != nil {
+		if err := boundaryPairOK(a, i); err != nil {
 			return err
 		}
 	}

@@ -68,6 +68,7 @@ import (
 	"math"
 	"math/bits"
 	"sort"
+	"unsafe"
 
 	"monge/internal/faults"
 	"monge/internal/marray"
@@ -207,10 +208,11 @@ func Build(a marray.Matrix, opt Opts) *Index {
 	ix.nodes = make([]node, 2*m-1)
 	b.buildRows(0, 0, m)
 
-	ix.bytes = int64(len(ix.rowMin)) * 4
+	ix.bytes = int64(cap(ix.rowMin)) * 4
 	for i := range ix.nodes {
 		nd := &ix.nodes[i]
-		ix.bytes += nd.env.bytes() + int64(len(nd.ivArg)+len(nd.sp))*4 + int64(len(nd.ivMax))*8
+		ix.bytes += int64(unsafe.Sizeof(node{})-unsafe.Sizeof(env{})) + nd.env.bytes() +
+			int64(cap(nd.ivArg)+cap(nd.sp))*4 + int64(cap(nd.ivMax))*8
 	}
 	for i := range ix.cols {
 		ix.bytes += ix.cols[i].bytes()
@@ -218,12 +220,12 @@ func Build(a marray.Matrix, opt Opts) *Index {
 	return ix
 }
 
-// bytes is the envelope's footprint: its arrays plus a fixed 32 bytes
-// standing for the node itself.
+// bytes is the envelope's footprint: the env itself, the capacity of its
+// arrays, and its packed structure when it has one.
 func (e *env) bytes() int64 {
-	b := int64(len(e.bp)+len(e.own))*4 + 32
+	b := int64(unsafe.Sizeof(env{})) + int64(cap(e.bp)+cap(e.own))*4
 	if e.pk != nil {
-		b += int64(len(e.pk.pr))*4 + int64(len(e.pk.pw))*8
+		b += int64(unsafe.Sizeof(packed{})) + int64(cap(e.pk.pr))*4 + int64(cap(e.pk.pw))*8
 	}
 	return b
 }
@@ -371,7 +373,7 @@ func splice(l, r *env, cross, n int) env {
 	kl := int(l.findInterval(cross))
 	k := kr + len(l.own) - kl
 	buf := make([]int32, 2*k+1)
-	e := env{bp: buf[:k+1], own: buf[k+1:]}
+	e := env{bp: buf[: k+1 : k+1], own: buf[k+1:]}
 	copy(e.bp, r.bp[:kr])
 	copy(e.own, r.own[:kr])
 	copy(e.bp[kr:], l.bp[kl:])
@@ -508,8 +510,9 @@ func (ix *Index) Cols() int { return ix.n }
 
 // Bytes returns the index's approximate memory footprint, excluding the
 // input array itself: the row-minima table, every row node's envelope,
-// interval maxima and sparse table, and every column node's envelope,
-// each node counted at 32 bytes plus its arrays.
+// interval maxima and sparse table, and every column node's envelope.
+// Each node counts its struct size (node, env, packed) plus the capacity
+// of its arrays; an array that several nodes share counts for each.
 func (ix *Index) Bytes() int64 { return ix.bytes }
 
 // Breakpoints returns the total number of envelope intervals across all

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -437,5 +438,39 @@ func TestBuildEvaluationsNearLinear(t *testing.T) {
 		}
 		checkRect(t, ix, tc.a, m/2, m/2, 0, n-1)
 		checkRect(t, ix, tc.a, 0, m-1, n/2, n/2)
+	}
+}
+
+// TestBytesMatchesLiveHeap checks that Index.Bytes tracks what an index
+// really keeps alive: the live-heap growth across one Build, read after
+// two GCs (the second clears sync.Pool victim caches) with the index
+// still reachable, must be within 0.8–1.25× of Bytes.
+func TestBytesMatchesLiveHeap(t *testing.T) {
+	quad := func(g int) float64 { return float64(g * g) }
+	for _, n := range []int{1024, 4096} {
+		rng := rand.New(rand.NewSource(1))
+		off := func() []float64 {
+			o := make([]float64, n)
+			for i := range o {
+				o[i] = float64(rng.Intn(1000))
+			}
+			return o
+		}
+		a := marray.ConvexGapMonge(off(), off(), quad)
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		ix := mindex.Build(a, mindex.Opts{})
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		grown := float64(after.HeapAlloc) - float64(before.HeapAlloc)
+		ratio := float64(ix.Bytes()) / grown
+		t.Logf("n=%d: Bytes %d, live-heap growth %.0f, ratio %.3f", n, ix.Bytes(), grown, ratio)
+		if ratio < 0.8 || ratio > 1.25 {
+			t.Errorf("n=%d: Bytes() = %d is %.2fx the live-heap growth %.0f, want 0.8–1.25x", n, ix.Bytes(), ratio, grown)
+		}
+		runtime.KeepAlive(ix)
 	}
 }

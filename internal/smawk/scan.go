@@ -1,10 +1,10 @@
 package smawk
 
 // The branchless dense scan core. Every dense scan in the repository —
-// the native backend's narrow row scans and column-segment partials,
-// the mindex boundary cuts, and the smawk facade's own narrow fast
-// paths — routes through the kernels here, so a single optimized loop
-// serves both execution backends.
+// the native backend's narrow row scans and column-segment partials
+// and the smawk facade's own narrow fast paths — routes through the
+// kernels here, so a single optimized loop serves both execution
+// backends.
 //
 // # Why bit-tricked selects
 //
@@ -38,9 +38,9 @@ package smawk
 //     +0.0 in IEEE round-to-nearest; every other value is unchanged),
 //     so -0.0 and +0.0 compare equal and the leftmost one wins, exactly
 //     as a < scan treats them.
-//   - ±Inf: ordinary ordered values under the key map; ArgMinFinite /
-//     ArgMaxFinite additionally demote +Inf (the staircase blocked
-//     marker) to "never wins", with -1 for fully blocked ranges.
+//   - ±Inf: ordinary ordered values under the key map; ArgMinFinite
+//     additionally reports a +Inf (the staircase blocked marker) winner
+//     as -1, so a fully blocked range has no minimum.
 //   - NaN: keyed above +Inf for minima (below everything for maxima),
 //     so a NaN can never displace a real optimum and an all-NaN input
 //     returns index 0 — one fixed rule, not the position-dependent
@@ -96,16 +96,6 @@ func maxKey(v float64) uint64 {
 	u := math.Float64bits(v + 0)
 	k := ^(u ^ (uint64(int64(u)>>63) | signBit))
 	return k | boolMask(u&absMask > infBits)
-}
-
-// skipInfKey is maxKey with +Inf also mapped to the largest key, so
-// blocked staircase entries can never win a maximum and an all-blocked
-// range is detectable as key == ^0 (no real value maps there: the
-// smallest real value, -Inf, keys to ^0 - 1 under the flip).
-func skipInfKey(v float64) uint64 {
-	u := math.Float64bits(v + 0)
-	k := ^(u ^ (uint64(int64(u)>>63) | signBit))
-	return k | boolMask(u == infBits) | boolMask(u&absMask > infBits)
 }
 
 // ArgMin returns the leftmost index of the minimum of row under the
@@ -194,48 +184,6 @@ func ArgMax(row []float64) int {
 	return int(j0)
 }
 
-// argMaxSkipInf is the scan under skipInfKey; it returns the winning
-// (key, index) so callers can detect the all-blocked sentinel.
-func argMaxSkipInf(row []float64) (uint64, uint64) {
-	n := len(row)
-	if n < 8 {
-		bk, bj := skipInfKey(row[0]), uint64(0)
-		for j := 1; j < n; j++ {
-			c := skipInfKey(row[j])
-			if c < bk {
-				bk, bj = c, uint64(j)
-			}
-		}
-		return bk, bj
-	}
-	k0, k1, k2, k3 := skipInfKey(row[0]), skipInfKey(row[1]), skipInfKey(row[2]), skipInfKey(row[3])
-	var j0, j1, j2, j3 uint64 = 0, 1, 2, 3
-	j := 4
-	for ; j+3 < n; j += 4 {
-		c0, c1, c2, c3 := skipInfKey(row[j]), skipInfKey(row[j+1]), skipInfKey(row[j+2]), skipInfKey(row[j+3])
-		if c0 < k0 {
-			k0, j0 = c0, uint64(j)
-		}
-		if c1 < k1 {
-			k1, j1 = c1, uint64(j+1)
-		}
-		if c2 < k2 {
-			k2, j2 = c2, uint64(j+2)
-		}
-		if c3 < k3 {
-			k3, j3 = c3, uint64(j+3)
-		}
-	}
-	k0, j0 = mergeLanes(k0, j0, k1, j1, k2, j2, k3, j3)
-	for ; j < n; j++ {
-		c := skipInfKey(row[j])
-		if c < k0 {
-			k0, j0 = c, uint64(j)
-		}
-	}
-	return k0, j0
-}
-
 // mergeLanes folds the four lane minima into one under strict key
 // order with the smaller index winning key ties — the leftmost rule
 // across the lane partition.
@@ -261,18 +209,6 @@ func ArgMinFinite(row []float64) int {
 		return -1
 	}
 	return j
-}
-
-// ArgMaxFinite returns the leftmost index of the maximum among entries
-// that are not +Inf, or -1 when every entry is +Inf or NaN — the
-// submatrix-maximum contract (mindex maps blocked +Inf entries to -Inf
-// so they never win; this kernel skips them outright).
-func ArgMaxFinite(row []float64) int {
-	k, j := argMaxSkipInf(row)
-	if k == ^uint64(0) {
-		return -1
-	}
-	return int(j)
 }
 
 // ScanRowMinimaInto fills out[lo:hi] with the leftmost-minimum column

@@ -55,19 +55,6 @@ func refArgMinFinite(row []float64) int {
 	return j
 }
 
-func refArgMaxFinite(row []float64) int {
-	best := -1
-	for j, v := range row {
-		if math.IsInf(v, 1) || math.IsNaN(v) {
-			continue
-		}
-		if best < 0 || v > row[best] {
-			best = j
-		}
-	}
-	return best
-}
-
 // scanLens covers every code path: the short-row scalar loop (< 8),
 // exact multiples of the 4-wide unroll, each tail length, and long
 // rows.
@@ -114,7 +101,7 @@ func scanRows(rng *rand.Rand, n int) [][]float64 {
 	return rows
 }
 
-// TestScanKernelsMatchScalarReference pins all four kernels against
+// TestScanKernelsMatchScalarReference pins all three kernels against
 // the scalar reference on every adversarial family and length.
 func TestScanKernelsMatchScalarReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
@@ -128,9 +115,6 @@ func TestScanKernelsMatchScalarReference(t *testing.T) {
 			}
 			if got, want := ArgMinFinite(row), refArgMinFinite(row); got != want {
 				t.Fatalf("ArgMinFinite(n=%d, family=%d) = %d, want %d (row=%v)", n, fi, got, want, clip(row))
-			}
-			if got, want := ArgMaxFinite(row), refArgMaxFinite(row); got != want {
-				t.Fatalf("ArgMaxFinite(n=%d, family=%d) = %d, want %d (row=%v)", n, fi, got, want, clip(row))
 			}
 		}
 	}
@@ -189,7 +173,7 @@ func TestRank64(t *testing.T) {
 }
 
 // FuzzArgMinKernels feeds arbitrary byte-derived float64 rows — any
-// bit pattern, including every NaN payload — through all four kernels
+// bit pattern, including every NaN payload — through all three kernels
 // against the scalar reference.
 func FuzzArgMinKernels(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0xf0, 0x7f, 1, 0, 0, 0, 0, 0, 0xf0, 0xff})
@@ -211,9 +195,6 @@ func FuzzArgMinKernels(f *testing.F) {
 		}
 		if got, want := ArgMinFinite(row), refArgMinFinite(row); got != want {
 			t.Fatalf("ArgMinFinite = %d, want %d (row=%v)", got, want, clip(row))
-		}
-		if got, want := ArgMaxFinite(row), refArgMaxFinite(row); got != want {
-			t.Fatalf("ArgMaxFinite = %d, want %d (row=%v)", got, want, clip(row))
 		}
 	})
 }
@@ -241,19 +222,16 @@ func twoPassArgMin(row []float64) int {
 	return 0
 }
 
-// branchyArgMaxSkipInf is the PR 8 mindex boundary-scan loop shape:
-// per-entry IsInf test plus a compare branch.
-func branchyArgMaxSkipInf(row []float64) int {
-	best, barg := math.Inf(-1), -1
+// branchyArgMax is the scalar compare-and-branch argmax loop that
+// ArgMax is priced against.
+func branchyArgMax(row []float64) int {
+	best, bv := 0, row[0]
 	for j, v := range row {
-		if math.IsInf(v, 1) {
-			continue
-		}
-		if v > best {
-			best, barg = v, j
+		if v > bv {
+			best, bv = j, v
 		}
 	}
-	return barg
+	return best
 }
 
 // BenchmarkScanKernels is the before/after table for EXPERIMENTS.md
@@ -268,18 +246,12 @@ func BenchmarkScanKernels(b *testing.B) {
 	const rot = 16
 	for _, n := range []int{32, 256, 4096} {
 		rows := make([][]float64, rot)
-		stairs := make([][]float64, rot)
 		for r := range rows {
 			row := make([]float64, n)
 			for j := range row {
 				row[j] = float64(rng.Intn(8)) + 1e-9*float64(rng.Intn(3))
 			}
 			rows[r] = row
-			stair := append([]float64(nil), row...)
-			for j := 3 * n / 4; j < n; j++ {
-				stair[j] = math.Inf(1)
-			}
-			stairs[r] = stair
 		}
 		sink := 0
 		b.Run(fmt.Sprintf("argmin-twopass/n=%d", n), func(b *testing.B) {
@@ -292,14 +264,14 @@ func BenchmarkScanKernels(b *testing.B) {
 				sink += ArgMin(rows[i%rot])
 			}
 		})
-		b.Run(fmt.Sprintf("argmax-branchy-skipinf/n=%d", n), func(b *testing.B) {
+		b.Run(fmt.Sprintf("argmax-branchy/n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				sink += branchyArgMaxSkipInf(stairs[i%rot])
+				sink += branchyArgMax(rows[i%rot])
 			}
 		})
-		b.Run(fmt.Sprintf("argmax-branchless-skipinf/n=%d", n), func(b *testing.B) {
+		b.Run(fmt.Sprintf("argmax-branchless/n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				sink += ArgMaxFinite(stairs[i%rot])
+				sink += ArgMax(rows[i%rot])
 			}
 		})
 		// Hostile family: ascending drift plus noise makes "new maximum
@@ -315,12 +287,12 @@ func BenchmarkScanKernels(b *testing.B) {
 		}
 		b.Run(fmt.Sprintf("argmax-branchy-hostile/n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				sink += branchyArgMaxSkipInf(hostile[i%rot])
+				sink += branchyArgMax(hostile[i%rot])
 			}
 		})
 		b.Run(fmt.Sprintf("argmax-branchless-hostile/n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				sink += ArgMaxFinite(hostile[i%rot])
+				sink += ArgMax(hostile[i%rot])
 			}
 		})
 		if sink == math.MinInt {

@@ -3,7 +3,7 @@
 // of Aggarwal, Klawe, Moran, Shor, and Wilber [AKM+87] for row minima and
 // row maxima of totally monotone arrays, a sequential staircase-Monge
 // row-minima algorithm in the spirit of Aggarwal and Klawe [AK88], and
-// sequential tube maxima/minima for Monge-composite arrays.
+// sequential tube maxima for Monge-composite arrays.
 //
 // These are the sequential baselines for Tables 1.1-1.3 of the paper; the
 // parallel algorithms in internal/core and internal/hcmonge are validated
@@ -71,27 +71,18 @@ func MongeRowMaximaInto(a marray.Matrix, out []int) {
 		return
 	}
 	// In the reversed array, the leftmost maximum corresponds to the
-	// rightmost maximum of a. To recover a's leftmost maxima we instead
-	// search the reversed array for its rightmost maxima.
-	rev := marray.ReverseCols(a)
+	// rightmost maximum of a. Rightmost-best is leftmost-best under
+	// "better or equal": with atLeast as the kill test SMAWK keeps the
+	// rightmost optimum, and total monotonicity holds in the same
+	// direction.
 	out = out[:a.Rows()]
-	runRightmostInto(rev, greater, out)
+	w := getWS()
+	defer putWS(w)
+	runInto(w, marray.ReverseCols(a), atLeast, out)
 	n := a.Cols()
 	for i := range out {
 		out[i] = n - 1 - out[i]
 	}
-}
-
-// InverseMongeRowMinima returns the leftmost row minima of an inverse-Monge
-// array, by the symmetric adapter.
-func InverseMongeRowMinima(a marray.Matrix) []int {
-	rev := marray.ReverseCols(a)
-	idx := runRightmost(rev, less)
-	n := a.Cols()
-	for i := range idx {
-		idx[i] = n - 1 - idx[i]
-	}
-	return idx
 }
 
 // less reports x strictly better than y for minima.
@@ -99,6 +90,9 @@ func less(x, y float64) bool { return x < y }
 
 // greater reports x strictly better than y for maxima.
 func greater(x, y float64) bool { return x > y }
+
+// atLeast reports x better than or equal to y for maxima: !greater(y, x).
+func atLeast(x, y float64) bool { return !(y > x) }
 
 // run executes SMAWK returning leftmost best entries per row.
 func run(a marray.Matrix, better func(x, y float64) bool) []int {
@@ -128,38 +122,6 @@ func runInto(w *workspace, a marray.Matrix, better func(x, y float64) bool, out 
 		cols[j] = j
 	}
 	solve(w, a, better, rows, cols, out)
-}
-
-// runRightmost executes SMAWK with rightmost tie-breaking, used by the
-// column-reversal adapters.
-func runRightmost(a marray.Matrix, better func(x, y float64) bool) []int {
-	out := make([]int, a.Rows())
-	runRightmostInto(a, better, out)
-	return out
-}
-
-// runRightmostInto is runRightmost into a caller-provided answer slice of
-// length a.Rows().
-func runRightmostInto(a marray.Matrix, better func(x, y float64) bool, out []int) {
-	// Rightmost-best of a = leftmost-best under "strictly better or equal"
-	// comparisons. Using >= (resp. <=) as the kill test in SMAWK yields the
-	// rightmost optimum; total monotonicity holds in the same direction.
-	betterEq := func(x, y float64) bool { return !better(y, x) }
-	m, n := a.Rows(), a.Cols()
-	if m == 0 || n == 0 {
-		return
-	}
-	w := getWS()
-	defer putWS(w)
-	rows := w.ints.Alloc(m)
-	cols := w.ints.Alloc(n)
-	for i := range rows {
-		rows[i] = i
-	}
-	for j := range cols {
-		cols[j] = j
-	}
-	solveRightmost(w, a, better, betterEq, rows, cols, out)
 }
 
 // solve is the classic SMAWK recursion: REDUCE discards columns that cannot
@@ -208,53 +170,6 @@ func solve(w *workspace, a marray.Matrix, better func(x, y float64) bool, rows, 
 		for cols[j] != hi {
 			j++
 			if v := a.At(r, cols[j]); better(v, bv) {
-				best, bv = cols[j], v
-			}
-		}
-		out[r] = best
-		ci = j
-	}
-}
-
-// solveRightmost mirrors solve but keeps the rightmost optimum: the kill
-// test uses better-or-equal and the interpolation scan prefers later
-// columns on ties.
-func solveRightmost(w *workspace, a marray.Matrix, better, betterEq func(x, y float64) bool, rows, cols []int, out []int) {
-	if len(rows) == 0 {
-		return
-	}
-	mark := w.mark()
-	defer w.rewind(mark)
-	stack := w.ints.Alloc(len(rows))[:0]
-	for _, c := range cols {
-		for len(stack) > 0 && betterEq(a.At(rows[len(stack)-1], c), a.At(rows[len(stack)-1], stack[len(stack)-1])) {
-			stack = stack[:len(stack)-1]
-		}
-		if len(stack) < len(rows) {
-			stack = append(stack, c)
-		}
-	}
-	cols = stack
-
-	odd := w.ints.Alloc(len(rows) / 2)[:0]
-	for i := 1; i < len(rows); i += 2 {
-		odd = append(odd, rows[i])
-	}
-	solveRightmost(w, a, better, betterEq, odd, cols, out)
-
-	ci := 0
-	for ri := 0; ri < len(rows); ri += 2 {
-		r := rows[ri]
-		hi := cols[len(cols)-1]
-		if ri+1 < len(rows) {
-			hi = out[rows[ri+1]]
-		}
-		best := cols[ci]
-		bv := a.At(r, best)
-		j := ci
-		for cols[j] != hi {
-			j++
-			if v := a.At(r, cols[j]); betterEq(v, bv) {
 				best, bv = cols[j], v
 			}
 		}

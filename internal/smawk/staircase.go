@@ -75,13 +75,6 @@ func StaircaseRowMinimaBrute(a marray.Matrix) []int {
 	return out
 }
 
-// StaircaseRowMaxima returns leftmost finite row maxima of a
-// staircase-inverse-Monge array whose blocked entries are -Inf, by negating
-// into the row-minima problem. Rows that are entirely blocked yield -1.
-func StaircaseRowMaxima(a marray.Matrix) []int {
-	return StaircaseRowMinima(marray.Negate(a))
-}
-
 // cand is a window-local answer: the leftmost minimising column of a row
 // within the current column window, and its value. col == -1 means the row
 // has no finite entry in the window.

@@ -1,7 +1,6 @@
 package smawk
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -123,33 +122,6 @@ func maxI(a, b int) int {
 		return a
 	}
 	return b
-}
-
-func TestStaircaseRowMaxima(t *testing.T) {
-	rng := rand.New(rand.NewSource(15))
-	for trial := 0; trial < 200; trial++ {
-		m, n := 1+rng.Intn(25), 1+rng.Intn(25)
-		a := marray.Negate(marray.RandomStaircaseMonge(rng, m, n))
-		got := StaircaseRowMaxima(a)
-		// brute: leftmost finite maximum, blocked entries are -Inf
-		want := make([]int, m)
-		for i := 0; i < m; i++ {
-			best, bv := -1, math.Inf(-1)
-			for j := 0; j < n; j++ {
-				v := a.At(i, j)
-				if math.IsInf(v, -1) {
-					break
-				}
-				if v > bv {
-					best, bv = j, v
-				}
-			}
-			want[i] = best
-		}
-		if !eqInts(got, want) {
-			t.Fatalf("trial %d: got %v want %v", trial, got, want)
-		}
-	}
 }
 
 func TestQuickStaircaseAgainstBrute(t *testing.T) {

