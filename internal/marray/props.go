@@ -33,39 +33,14 @@ func IsStaircasePattern(a Matrix) bool { return checkBoundaries(a) == nil }
 
 // IsStaircaseMonge reports whether a is a staircase-Monge array: the +Inf
 // pattern is a valid staircase and the Monge inequality holds on every 2x2
-// minor whose four entries are all finite.
-func IsStaircaseMonge(a Matrix) bool {
-	if !IsStaircasePattern(a) {
-		return false
-	}
-	return checkFiniteMinors(a, func(x00, x01, x10, x11 float64) bool {
-		return x00+x11 <= x01+x10+mongeSlack(x00, x01, x10, x11)
-	})
-}
-
-// checkFiniteMinors verifies ok2x2 on all (not only adjacent) 2x2 minors
-// whose entries are finite. Adjacency is not enough for staircase arrays:
-// a blocked entry between two finite columns breaks the summation argument.
-// Cost is O(m^2 n^2) and intended for tests on small arrays only.
-func checkFiniteMinors(a Matrix, ok2x2 func(x00, x01, x10, x11 float64) bool) bool {
-	m, n := a.Rows(), a.Cols()
-	for i := 0; i < m; i++ {
-		for k := i + 1; k < m; k++ {
-			for j := 0; j < n; j++ {
-				for l := j + 1; l < n; l++ {
-					x00, x01 := a.At(i, j), a.At(i, l)
-					x10, x11 := a.At(k, j), a.At(k, l)
-					if isFinite(x00) && isFinite(x01) && isFinite(x10) && isFinite(x11) {
-						if !ok2x2(x00, x01, x10, x11) {
-							return false
-						}
-					}
-				}
-			}
-		}
-	}
-	return true
-}
+// minor whose four entries are all finite. Adjacent minors suffice, as
+// for IsMonge: once the pattern is a staircase, a rectangle whose four
+// corners are finite is finite throughout (its bottom-right corner is
+// finite, and the blocked region is closed to the right and downward),
+// so its inequality is the sum of the adjacent finite minors inside it.
+// Cost is O(m*n) entry evaluations (CheckStaircaseMonge names the
+// violation).
+func IsStaircaseMonge(a Matrix) bool { return CheckStaircaseMonge(a) == nil }
 
 func isFinite(x float64) bool { return !math.IsInf(x, 0) && !math.IsNaN(x) }
 

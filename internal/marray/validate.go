@@ -11,13 +11,13 @@ import (
 // CheckInverseMonge and CheckStaircaseMonge verify every adjacent 2x2
 // minor (and, for staircases, every row's +Inf boundary) in O(m*n) entry
 // evaluations and return a typed error (merr.ErrNotMonge etc.) naming the
-// first violation; IsMonge, IsInverseMonge and IsStaircasePattern are
-// these checks with the error dropped. The Check*Sampled variants probe a
-// deterministic pseudo-random subset of the same minors and boundaries in
-// O(m+n) evaluations, cheap enough for large implicit arrays. Both only
-// ever test inequalities implied by the definitions, so neither can
-// reject a valid array; the sampled variants can merely miss a violation
-// (they are a screen, not a proof).
+// first violation; IsMonge, IsInverseMonge, IsStaircaseMonge and
+// IsStaircasePattern are these checks with the error dropped. The
+// Check*Sampled variants probe a deterministic pseudo-random subset of the
+// same minors and boundaries in O(m+n) evaluations, cheap enough for large
+// implicit arrays. Both only ever test inequalities implied by the
+// definitions, so neither can reject a valid array; the sampled variants
+// can merely miss a violation (they are a screen, not a proof).
 
 // sampleProbeFactor scales the sampled validators' probe count: roughly
 // this many probes per unit of m+n, floored at sampleProbeMin.
@@ -158,9 +158,9 @@ func checkBoundaries(a Matrix) error {
 // CheckStaircaseMonge verifies that the +Inf pattern of a is a valid
 // staircase (merr.ErrNotStaircase otherwise) and that every adjacent fully
 // finite 2x2 minor satisfies the Monge inequality (merr.ErrNotMonge
-// otherwise). Both passes are O(m*n); the finite-minor pass is a necessary
-// screen — the complete staircase-Monge check over all finite minors is
-// O(m^2 n^2) (see IsStaircaseMonge) and reserved for tests.
+// otherwise). Both passes are O(m*n), and together they are the whole
+// definition: on a staircase pattern every finite minor is a sum of
+// adjacent finite ones (see IsStaircaseMonge).
 func CheckStaircaseMonge(a Matrix) error {
 	if err := checkBoundaries(a); err != nil {
 		return err

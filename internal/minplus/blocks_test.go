@@ -23,13 +23,13 @@ func nativeEngine(width int) *Engine {
 	return NewWith(d)
 }
 
-// TestMultiplyWidthsAgree pins the row-block path to the sequential
-// loop: across native drivers of width 1, 2, 3 and 8, every product has
-// the same rowStart/runK/runJ arrays, and the width-1 product matches
-// the naive oracle. Every case of two or more rows runs as row blocks
-// on the wider drivers. Each case states which side of the transposed-B
-// rule it lands on, and the test checks that it does, so the cases keep
-// covering both paths if the rule moves.
+// TestMultiplyWidthsAgree pins the row blocks to the driver width: across
+// native drivers of width 1, 2, 3 and 8, which cut the output rows into
+// different blocks and so solve different rows with the kernel, every
+// product has the same rowStart/runK/runJ arrays, and the width-1
+// product matches the naive oracle. Each case states which side of the
+// transposed-B rule it lands on, and the test checks that it does, so
+// the cases keep covering both paths if the rule moves.
 func TestMultiplyWidthsAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	ref := nativeEngine(1)
@@ -49,7 +49,7 @@ func TestMultiplyWidthsAgree(t *testing.T) {
 	type mulCase struct {
 		name       string
 		a, b       marray.Matrix
-		triangular bool // multiply as the M-link solver does (plain SMAWK)
+		triangular bool // multiply as the M-link solver does (windows over +Inf)
 		tran       bool // expected: B read through its transposed copy
 	}
 	cases := []mulCase{
@@ -97,8 +97,8 @@ func TestMultiplyWidthsAgree(t *testing.T) {
 	}
 }
 
-// TestMultiplyBlocksCanceled pins the row-block path's failure contract:
-// a driver context cancelled before the product, or by a factor read in
+// TestMultiplyBlocksCanceled pins the row blocks' failure contract: a
+// driver context cancelled before the product, or by a factor read in
 // the middle of it, and a typed failure thrown by a factor on a pool
 // worker, all surface on the calling goroutine as the typed error, and
 // the product leaves no goroutine behind.
@@ -109,8 +109,10 @@ func TestMultiplyBlocksCanceled(t *testing.T) {
 	before := runtime.NumGoroutine()
 	e := nativeEngine(4)
 	d := e.Driver()
-	if pool, _ := d.Fanout(); rowBlocks(pool, n) <= 1 {
-		t.Fatalf("%d-row product does not take the row-block path", n)
+	pool, _ := d.Fanout()
+	nb := rowBlocks(pool, n)
+	if nb <= 1 || (nb/2)*n/nb != n/2 {
+		t.Fatalf("%d-row product runs as %d row blocks; none starts at row %d", n, nb, n/2)
 	}
 	checkAgainstNaive(t, e.Multiply(a, b), a, b) // starts the pool's workers
 	running := runtime.NumGoroutine()
@@ -127,9 +129,10 @@ func TestMultiplyBlocksCanceled(t *testing.T) {
 		t.Fatalf("pre-cancelled context: err=%v, want ErrCanceled", err)
 	}
 
-	// The engine reads column 0 of A's row i when it starts output row
-	// i (the staircase probe reads only the last column), so reading
-	// row n/2 cancels mid-product, with other blocks in flight.
+	// Row n/2 starts a row block, and the engine reads all of A's row
+	// when the kernel solves it (the staircase probe reads only the last
+	// column), so reading its column 0 cancels mid-product, with other
+	// blocks in flight.
 	ctx, cancel = context.WithCancel(context.Background())
 	defer cancel()
 	d.SetContext(ctx)

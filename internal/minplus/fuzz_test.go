@@ -13,10 +13,12 @@ import (
 // families — tie-dense integer Monge, 2^-30 (~1e-9) near-tie
 // perturbations, inf-heavy staircases, and huge-aspect shapes down to
 // 1×n and n×1 — and checks every product four ways: the naive O(mqr)
-// oracle, the PRAM backend, the native backend, and a width-4 native
-// engine, which runs every product of two or more rows as output-row
-// blocks, must agree on every value AND every witness index (leftmost
-// ties, -1 on blocked entries).
+// oracle, the PRAM backend (one kernel query per row), the native
+// backend, and a width-4 native engine must agree on every value AND
+// every witness index (leftmost ties, -1 on blocked entries). On the
+// native engines the fully finite families solve their interior rows
+// by witness windows, and a width-4 engine cuts products of 32 or more
+// rows into more row blocks, so more rows go to the kernel.
 //
 // Run locally with
 //

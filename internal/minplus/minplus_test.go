@@ -24,35 +24,72 @@ var backends = []struct {
 }
 
 // mulPair holds one test instance: both factors Monge (possibly
-// staircase-Monge).
+// staircase-Monge, or DAG-triangular).
 type mulPair struct {
-	name string
-	a, b marray.Matrix
+	name       string
+	a, b       marray.Matrix
+	triangular bool // multiply as the M-link solver does: windows over +Inf
+}
+
+// mul multiplies the pair on e, triangular pairs through the M-link
+// solver's entry point.
+func (tc mulPair) mul(e *Engine) *Product {
+	if tc.triangular {
+		return e.multiply(tc.a, tc.b, false)
+	}
+	return e.Multiply(tc.a, tc.b)
 }
 
 // testPairs builds the factor families the multiplication suite runs:
 // dense and implicit Monge, tie-rich integer Monge, staircase on
-// either or both sides, inf-heavy staircases, and huge-aspect shapes.
+// either or both sides, inf-heavy staircases, huge-aspect shapes, and
+// DAG-triangular pairs: an M-link link matrix times itself, then its
+// ⊗-square (a Product) times itself, whose last rows are blocked
+// entirely (witness -1), and a wide triangular factor times a shifted
+// one, where a row's lower neighbour is blocked in a column in which
+// the row itself is not, so a window opens on a -1 bound.
 func testPairs(rng *rand.Rand) []mulPair {
 	fn := func(d *marray.Dense) marray.Matrix {
 		return marray.Func{M: d.Rows(), N: d.Cols(), F: d.At}
 	}
 	stairA := marray.RandomStaircaseMongeInt(rng, 20, 16, 3)
 	infHeavy := marray.RandomInfHeavyStaircase(rng, 24, 18)
-	return []mulPair{
-		{"dense-square", marray.RandomMonge(rng, 24, 24), marray.RandomMonge(rng, 24, 24)},
-		{"dense-rect", marray.RandomMonge(rng, 17, 29), marray.RandomMonge(rng, 29, 11)},
-		{"int-ties", marray.RandomMongeInt(rng, 23, 23, 2), marray.RandomMongeInt(rng, 23, 23, 2)},
-		{"near-tie", marray.RandomNearTieMonge(rng, 19, 21), marray.RandomNearTieMonge(rng, 21, 15)},
-		{"func-backed", fn(marray.RandomMonge(rng, 16, 20)), fn(marray.RandomMonge(rng, 20, 16))},
-		{"stair-second", marray.RandomMongeInt(rng, 18, 22, 3), marray.RandomStaircaseMongeInt(rng, 22, 17, 3)},
-		{"stair-first", stairA, marray.RandomMongeInt(rng, 16, 19, 3)},
-		{"stair-both", marray.RandomStaircaseMongeInt(rng, 15, 18, 2), marray.RandomStaircaseMongeInt(rng, 18, 14, 2)},
-		{"inf-heavy", marray.RandomMongeInt(rng, 12, 24, 2), infHeavy},
-		{"row-vector", marray.RandomMonge(rng, 1, 33), marray.RandomMonge(rng, 33, 27)},
-		{"col-vector", marray.RandomMonge(rng, 31, 29), marray.RandomMonge(rng, 29, 1)},
-		{"inner-one", marray.RandomMonge(rng, 13, 1), marray.RandomMonge(rng, 1, 13)},
+	pairs := []mulPair{
+		{name: "dense-square", a: marray.RandomMonge(rng, 24, 24), b: marray.RandomMonge(rng, 24, 24)},
+		{name: "dense-rect", a: marray.RandomMonge(rng, 17, 29), b: marray.RandomMonge(rng, 29, 11)},
+		{name: "int-ties", a: marray.RandomMongeInt(rng, 23, 23, 2), b: marray.RandomMongeInt(rng, 23, 23, 2)},
+		{name: "near-tie", a: marray.RandomNearTieMonge(rng, 19, 21), b: marray.RandomNearTieMonge(rng, 21, 15)},
+		{name: "func-backed", a: fn(marray.RandomMonge(rng, 16, 20)), b: fn(marray.RandomMonge(rng, 20, 16))},
+		{name: "stair-second", a: marray.RandomMongeInt(rng, 18, 22, 3), b: marray.RandomStaircaseMongeInt(rng, 22, 17, 3)},
+		{name: "stair-first", a: stairA, b: marray.RandomMongeInt(rng, 16, 19, 3)},
+		{name: "stair-both", a: marray.RandomStaircaseMongeInt(rng, 15, 18, 2), b: marray.RandomStaircaseMongeInt(rng, 18, 14, 2)},
+		{name: "inf-heavy", a: marray.RandomMongeInt(rng, 12, 24, 2), b: infHeavy},
+		{name: "row-vector", a: marray.RandomMonge(rng, 1, 33), b: marray.RandomMonge(rng, 33, 27)},
+		{name: "col-vector", a: marray.RandomMonge(rng, 31, 29), b: marray.RandomMonge(rng, 29, 1)},
+		{name: "inner-one", a: marray.RandomMonge(rng, 13, 1), b: marray.RandomMonge(rng, 1, 13)},
 	}
+	link := linkMatrix(40, mongeWeight(rng, 40))
+	sq := New(batch.BackendNative)
+	defer sq.Close()
+	link2 := sq.multiply(link, link, false)
+	return append(pairs,
+		mulPair{name: "link-square", a: link, b: link, triangular: true},
+		mulPair{name: "link-fourth", a: link2, b: link2, triangular: true},
+		mulPair{name: "link-shifted", a: bandMonge(rng, 24, 120, 0), b: bandMonge(rng, 120, 30, -12), triangular: true})
+}
+
+// bandMonge masks a random integer Monge array to the +Inf pattern of a
+// shifted DAG matrix: entry (i, j) is finite exactly where j-i >= s.
+// The blocked region is closed to the left and downward, which keeps
+// the array Monge with +Inf read as larger than every sum.
+func bandMonge(rng *rand.Rand, m, n, s int) marray.Matrix {
+	d := marray.RandomMongeInt(rng, m, n, 3)
+	return marray.Func{M: m, N: n, F: func(i, j int) float64 {
+		if j-i >= s {
+			return d.At(i, j)
+		}
+		return inf
+	}}
 }
 
 // checkAgainstNaive asserts value- and witness-exactness of a Product
@@ -86,7 +123,7 @@ func TestMultiplyMatchesNaive(t *testing.T) {
 			rng := rand.New(rand.NewSource(61))
 			for _, tc := range testPairs(rng) {
 				t.Run(tc.name, func(t *testing.T) {
-					checkAgainstNaive(t, e.Multiply(tc.a, tc.b), tc.a, tc.b)
+					checkAgainstNaive(t, tc.mul(e), tc.a, tc.b)
 				})
 			}
 		})
@@ -122,6 +159,19 @@ func TestProductAsFactor(t *testing.T) {
 			if d.At(i, k) != abc.At(i, k) {
 				t.Fatalf("Dense()[%d][%d] = %g, product says %g", i, k, d.At(i, k), abc.At(i, k))
 			}
+		}
+	}
+
+	// The M-link chain: D⊗D and (D⊗D)⊗(D⊗D) on a DAG-triangular link
+	// matrix, whose last rows are blocked entirely (witness -1).
+	link := linkMatrix(60, mongeWeight(rng, 60))
+	l2 := e.multiply(link, link, false)
+	checkAgainstNaive(t, l2, link, link)
+	nL2, _ := MultiplyNaive(link, link)
+	checkAgainstNaive(t, e.multiply(l2, l2, false), nL2, nL2)
+	for _, i := range []int{59, 60} {
+		if l2.rowStart[i+1]-l2.rowStart[i] != 1 || l2.Witness(i, 0) != -1 {
+			t.Fatalf("row %d of D⊗D is not one blocked run", i)
 		}
 	}
 }

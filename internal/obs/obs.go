@@ -151,6 +151,17 @@ const (
 	// the contention proxy of the sharded buffers, a high-water gauge.
 	WriteShardPeak
 
+	// (min,+) products (the "minplus" site), added once per row block:
+	// MinplusAnchorRows counts the output rows the row-minima kernel
+	// solved (anchor rows, rows too wide for a witness window, and every
+	// row of a staircase or PRAM-driven product); MinplusWindowReads the
+	// entries of B a native product's rows read, kernel queries and
+	// window scans together (filling the transposed copy of B is not
+	// counted); MinplusRuns the witness runs the products store.
+	MinplusAnchorRows
+	MinplusWindowReads
+	MinplusRuns
+
 	numIDs
 )
 
@@ -180,38 +191,41 @@ type desc struct {
 
 // descs is the one declaration of every metric.
 var descs = [numIDs]desc{
-	Supersteps:        {"supersteps", counter, "supersteps"},
-	ChargedTime:       {"charged_time", counter, "time"},
-	ChargedWork:       {"charged_work", counter, "work"},
-	SharedReads:       {"shared_reads", counter, "reads"},
-	SharedWrites:      {"shared_writes", counter, "writes"},
-	ConflictsSamePid:  {"conflicts_same_pid", counter, "conflicts"},
-	ConflictsPriority: {"conflicts_priority", counter, "conflicts"},
-	ConflictsCREW:     {"conflicts_crew", counter, "conflicts"},
-	LinkMessages:      {"link_messages", counter, "link-msgs"},
-	LinkBytes:         {"link_bytes", counter, "link-bytes"},
-	PoolLoops:         {"pool_loops", counter, "loops"},
-	PoolChunks:        {"pool_chunks", counter, "chunks"},
-	PoolInline:        {"pool_inline", counter, ""},
-	FaultStalls:       {"fault_stalls", counter, "faults"},
-	FaultDrops:        {"fault_drops", counter, "faults"},
-	FaultGarbles:      {"fault_garbles", counter, "faults"},
-	FaultTimeouts:     {"fault_timeouts", counter, "faults"},
-	Searches:          {"searches", counter, "searches"},
-	ArenaHits:         {"arena_hits", counter, "arena-hit"},
-	ArenaMisses:       {"arena_misses", counter, "arena-miss"},
-	BytesRecycled:     {"bytes_recycled", counter, "recycled-B"},
-	QueriesServed:     {"queries_served", counter, "queries"},
-	QueueDepthPeak:    {"queue_depth_peak", gauge, "queue-pk"},
-	ShardImbalance:    {"shard_imbalance", gauge, "imbal"},
-	QueueDepth:        {"queue_depth", gauge, ""},
-	Admitted:          {"admitted", counter, ""},
-	Rejected:          {"rejected", counter, ""},
-	Shed:              {"shed", counter, ""},
-	Hedged:            {"hedged", counter, ""},
-	Retried:           {"retried", counter, ""},
-	DeadlineExpired:   {"deadline_expired", counter, ""},
-	WriteShardPeak:    {"write_shard_peak", gauge, ""},
+	Supersteps:         {"supersteps", counter, "supersteps"},
+	ChargedTime:        {"charged_time", counter, "time"},
+	ChargedWork:        {"charged_work", counter, "work"},
+	SharedReads:        {"shared_reads", counter, "reads"},
+	SharedWrites:       {"shared_writes", counter, "writes"},
+	ConflictsSamePid:   {"conflicts_same_pid", counter, "conflicts"},
+	ConflictsPriority:  {"conflicts_priority", counter, "conflicts"},
+	ConflictsCREW:      {"conflicts_crew", counter, "conflicts"},
+	LinkMessages:       {"link_messages", counter, "link-msgs"},
+	LinkBytes:          {"link_bytes", counter, "link-bytes"},
+	PoolLoops:          {"pool_loops", counter, "loops"},
+	PoolChunks:         {"pool_chunks", counter, "chunks"},
+	PoolInline:         {"pool_inline", counter, ""},
+	FaultStalls:        {"fault_stalls", counter, "faults"},
+	FaultDrops:         {"fault_drops", counter, "faults"},
+	FaultGarbles:       {"fault_garbles", counter, "faults"},
+	FaultTimeouts:      {"fault_timeouts", counter, "faults"},
+	Searches:           {"searches", counter, "searches"},
+	ArenaHits:          {"arena_hits", counter, "arena-hit"},
+	ArenaMisses:        {"arena_misses", counter, "arena-miss"},
+	BytesRecycled:      {"bytes_recycled", counter, "recycled-B"},
+	QueriesServed:      {"queries_served", counter, "queries"},
+	QueueDepthPeak:     {"queue_depth_peak", gauge, "queue-pk"},
+	ShardImbalance:     {"shard_imbalance", gauge, "imbal"},
+	QueueDepth:         {"queue_depth", gauge, ""},
+	Admitted:           {"admitted", counter, ""},
+	Rejected:           {"rejected", counter, ""},
+	Shed:               {"shed", counter, ""},
+	Hedged:             {"hedged", counter, ""},
+	Retried:            {"retried", counter, ""},
+	DeadlineExpired:    {"deadline_expired", counter, ""},
+	WriteShardPeak:     {"write_shard_peak", gauge, ""},
+	MinplusAnchorRows:  {"minplus_anchor_rows", counter, ""},
+	MinplusWindowReads: {"minplus_window_reads", counter, ""},
+	MinplusRuns:        {"minplus_runs", counter, ""},
 }
 
 // waitQuantiles are the queue-wait percentiles every export carries
