@@ -16,6 +16,9 @@
 // The enqueue itself is the pool's fail-fast TrySubmit: a full queue is
 // an immediate ErrOverloaded, never a block. Admission therefore never
 // blocks past the caller's context — in fact it never blocks at all.
+// The index kinds pass the same gates; the pool then answers them on
+// the caller, so their ticket comes back resolved and the front
+// releases the inflight slot at once instead of watching the ticket.
 //
 // # Retries and hedging
 //
@@ -194,7 +197,9 @@ func (f *Front) bump(id obs.ID) {
 // returning the query's ticket. It never blocks: every rejection is an
 // immediate typed error (ErrOverloaded, ErrDeadlineExceeded,
 // merr.ErrCanceled, serve.ErrClosed). The inflight slot is released
-// when the ticket resolves, whether or not the caller awaits it.
+// when the ticket resolves, whether or not the caller awaits it: by a
+// watcher goroutine for a queued query, before Admit returns for a
+// ticket that is already resolved.
 func (f *Front) Admit(ctx context.Context, req Request) (*serve.Ticket, error) {
 	if ctx.Err() != nil {
 		f.bump(obs.DeadlineExpired)
@@ -225,6 +230,14 @@ func (f *Front) Admit(ctx context.Context, req Request) (*serve.Ticket, error) {
 		return nil, err
 	}
 	f.bump(obs.Admitted)
+	select {
+	case <-tk.Done():
+		// Already resolved (the index kinds are answered on the
+		// submitting goroutine): release the slot here, no watcher.
+		f.inflight.Add(-1)
+		return tk, nil
+	default:
+	}
 	f.watchers.Add(1)
 	go func() {
 		defer f.watchers.Done()
@@ -347,6 +360,11 @@ func (f *Front) Do(ctx context.Context, req Request) serve.Result {
 // passes — in which case one hedged second attempt races the first and
 // the earlier answer wins.
 func (f *Front) await(ctx context.Context, req Request, tk *serve.Ticket) serve.Result {
+	select {
+	case <-tk.Done():
+		return tk.Result()
+	default:
+	}
 	if f.hedgeAfter <= 0 {
 		select {
 		case <-tk.Done():

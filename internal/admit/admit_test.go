@@ -14,6 +14,7 @@ import (
 	"monge/internal/faults"
 	"monge/internal/marray"
 	"monge/internal/merr"
+	"monge/internal/mindex"
 	"monge/internal/pram"
 	"monge/internal/serve"
 	"monge/internal/smawk"
@@ -517,4 +518,89 @@ func TestOpenLoopLowLoadAdmits(t *testing.T) {
 	}
 	p.Wait()
 	f.Drain()
+}
+
+// TestIndexAdmissionAccounting pins the admission accounting of the
+// index kinds, which the pool answers on the submitting goroutine: they
+// still meet the inflight cap and the tenant bucket, their slot is
+// released before Do returns with no watcher goroutine left behind, and
+// chaos ticket drops still redeliver them index-exact.
+func TestIndexAdmissionAccounting(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	a := marray.RandomMongeInt(rng, 40, 36, 4)
+	ix := mindex.Build(a, mindex.Opts{})
+	submax := func(k int) (serve.Query, mindex.Pos) {
+		r1, c1 := k%40, (3*k)%36
+		r2, c2 := r1+(7*k)%(40-r1), c1+(5*k)%(36-c1)
+		return serve.Query{Kind: serve.SubmatrixMax, Index: ix, R1: r1, R2: r2, C1: c1, C2: c2},
+			mindex.SubmatrixMaxBrute(a, r1, r2, c1, c2)
+	}
+	q0, want0 := submax(0)
+
+	t.Run("inflight-cap", func(t *testing.T) {
+		p := serve.New(pram.CRCW, serve.Options{Workers: 1, QueueDepth: 4})
+		defer p.Close()
+		f := New(p, &Options{MaxInflight: 2, ShedFraction: 1})
+		slow := serve.Query{Kind: serve.RowMinima, A: slowMatrix(8, 2*time.Millisecond)}
+		for i := 0; i < 2; i++ {
+			if _, err := f.Admit(context.Background(), Request{Query: slow, Priority: 1}); err != nil {
+				t.Fatalf("admit slow %d: %v", i, err)
+			}
+		}
+		if res := f.Do(context.Background(), Request{Query: q0, Priority: 1}); !errors.Is(res.Err, ErrOverloaded) {
+			t.Fatalf("index Do at the inflight cap: err=%v, want ErrOverloaded", res.Err)
+		}
+		p.Wait()
+		f.Drain()
+	})
+
+	t.Run("tenant-bucket", func(t *testing.T) {
+		// Chaos is pinned off: a ticket-drop redelivery passes the
+		// tenant gate again, so under FAULT_RATE it would spend the
+		// tenant's only token on the first request's own redelivery.
+		p := serve.New(pram.CRCW, serve.Options{Workers: 1, Chaos: faults.New(0, 0)})
+		defer p.Close()
+		f := New(p, &Options{TenantRate: 1, TenantBurst: 1})
+		if res := f.Do(context.Background(), Request{Query: q0, Tenant: "a", Priority: 1}); res.Err != nil || res.Pos != want0 {
+			t.Fatalf("first index Do: %+v, want %+v", res, want0)
+		}
+		if res := f.Do(context.Background(), Request{Query: q0, Tenant: "a", Priority: 1}); !errors.Is(res.Err, ErrOverloaded) {
+			t.Fatalf("second immediate index Do: err=%v, want ErrOverloaded", res.Err)
+		}
+	})
+
+	t.Run("no-watchers", func(t *testing.T) {
+		p := serve.New(pram.CRCW, serve.Options{Workers: 2})
+		defer p.Close()
+		f := New(p, nil)
+		base := runtime.NumGoroutine()
+		for k := 0; k < 1000; k++ {
+			q, want := submax(k)
+			if res := f.Do(context.Background(), Request{Query: q}); res.Err != nil || res.Pos != want {
+				t.Fatalf("Do %d: %+v, want %+v", k, res, want)
+			}
+		}
+		if n := f.Stats().Inflight; n != 0 {
+			t.Fatalf("inflight=%d after 1000 index Do calls without Drain, want 0", n)
+		}
+		if n := runtime.NumGoroutine(); n > base {
+			t.Fatalf("%d goroutines after 1000 index Do calls, %d before", n, base)
+		}
+	})
+
+	t.Run("ticket-drops", func(t *testing.T) {
+		inj := faults.New(5, 0.5)
+		p := serve.New(pram.CRCW, serve.Options{Workers: 2, Chaos: inj})
+		defer p.Close()
+		f := New(p, nil)
+		for k := 0; k < 64; k++ {
+			q, want := submax(k)
+			if res := f.Do(context.Background(), Request{Query: q}); res.Err != nil || res.Pos != want {
+				t.Fatalf("Do %d under ticket drops: %+v, want %+v", k, res, want)
+			}
+		}
+		if inj.Stats().TicketDrops == 0 || f.Stats().Retried == 0 {
+			t.Fatalf("rate-0.5 chaos redelivered nothing: injector %+v, front %+v", inj.Stats(), f.Stats())
+		}
+	})
 }

@@ -8,6 +8,7 @@ package httpfront
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"math/rand"
@@ -18,6 +19,7 @@ import (
 
 	"monge/internal/marray"
 	"monge/internal/mindex"
+	"monge/internal/obs"
 )
 
 // entriesOf converts a matrix for a JSON body; Entry's marshaller turns
@@ -282,5 +284,47 @@ func TestQueryKindDispatch(t *testing.T) {
 	}
 	if !strings.Contains(string(body), "submax") {
 		t.Fatalf("unknown-kind error must name the accepted kinds, body %s", body)
+	}
+}
+
+// TestIndexMetricsQueriesServed pins the served-query counter for the
+// index kinds, which the pool answers on the submitting goroutine:
+// after index traffic over HTTP, /metrics reports one
+// monge_queries_served{site="serve"} per query the pool answered — one
+// per request, plus one per chaos ticket-drop redelivery when
+// FAULT_RATE injects them.
+func TestIndexMetricsQueriesServed(t *testing.T) {
+	old := obs.Global()
+	t.Cleanup(func() { obs.SetGlobal(old) })
+	obs.SetGlobal(obs.NewObserver())
+
+	ts, p, f := newTestServer(t, nil)
+	rng := rand.New(rand.NewSource(23))
+	ir := buildIndexHTTP(t, ts, marray.RandomMongeInt(rng, 16, 12, 3))
+	const n = 24
+	for k := 0; k < n; k++ {
+		body := map[string]any{"kind": "submax", "index_id": ir.IndexID, "r1": k % 16, "r2": 15, "c1": k % 12, "c2": 11}
+		if k%2 == 1 {
+			body = map[string]any{"kind": "range-row-minima", "index_id": ir.IndexID, "r1": 0, "r2": k % 16}
+		}
+		if resp, out := postJSON(t, ts, "/v1/query", body); resp.StatusCode != http.StatusOK {
+			t.Fatalf("query %d: status %d, body %s", k, resp.StatusCode, out)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	metrics, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	answered := p.Stats().Queries
+	if redelivered := f.Stats().Retried; answered != n+redelivered {
+		t.Fatalf("pool answered %d queries for %d requests and %d redeliveries", answered, n, redelivered)
+	}
+	if want := fmt.Sprintf("monge_queries_served{site=\"serve\"} %d\n", answered); !strings.Contains(string(metrics), want) {
+		t.Fatalf("/metrics lacks %q:\n%s", want, metrics)
 	}
 }

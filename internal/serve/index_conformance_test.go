@@ -187,46 +187,82 @@ func TestIndexStreamOrdering(t *testing.T) {
 	}
 }
 
-// TestIndexPoolCancellation covers cancellation around index queries: a
-// context canceled while the query waits behind a busy worker resolves
-// the ticket with the typed cancellation error, and an index query
-// submitted with an expired deadline resolves with ErrDeadlineExceeded
-// — in both cases without evaluating.
+// TestIndexPoolCancellation pins the contract of the index kinds, which
+// are answered on the submitting goroutine: with the single worker held
+// by a slow row query, an index ticket is already resolved with the
+// brute answer when SubmitCtx returns — no head-of-line blocking. An
+// already-canceled context still yields merr.ErrCanceled, an expired
+// one ErrDeadlineExceeded, and a canceled pool context
+// merr.ErrCanceled, all without evaluating.
 func TestIndexPoolCancellation(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	ix := mindex.Build(marray.RandomMonge(rng, 32, 32), mindex.Opts{})
+	a := marray.RandomMonge(rng, 32, 32)
+	ix := mindex.Build(a, mindex.Opts{})
+	submax := Query{Kind: SubmatrixMax, Index: ix, R1: 3, R2: 28, C1: 5, C2: 30}
+	rows := Query{Kind: RangeRowMinima, Index: ix, R1: 4, R2: 20}
 	p := New(pram.CRCW, Options{Workers: 1, QueueDepth: 4})
 	defer p.Close()
 
-	// Occupy the single worker, then cancel the queued index query.
-	if _, err := p.Submit(Query{Kind: RowMinima, A: slowMatrix(8, 8, 3*time.Millisecond)}); err != nil {
+	// Hold the single worker, then ask the index behind it.
+	slow, err := p.Submit(Query{Kind: RowMinima, A: slowMatrix(8, 8, 3*time.Millisecond)})
+	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	tk, err := p.SubmitCtx(ctx, Query{Kind: SubmatrixMax, Index: ix, R1: 0, R2: 31, C1: 0, C2: 31})
-	if err != nil {
-		t.Fatal(err)
+	for _, q := range []Query{submax, rows} {
+		tk, err := p.SubmitCtx(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-tk.Done():
+		default:
+			t.Fatalf("kind %d: ticket unresolved when SubmitCtx returned; it queued behind the busy worker", q.Kind)
+		}
+		want := Result{Pos: mindex.SubmatrixMaxBrute(a, q.R1, q.R2, q.C1, q.C2)}
+		if q.Kind == RangeRowMinima {
+			want = Result{}
+			for r := q.R1; r <= q.R2; r++ {
+				want.Idx = append(want.Idx, bruteRowMin(a, r))
+			}
+		}
+		assertIndexResult(t, int(q.Kind), q, tk.Result(), want)
 	}
-	cancel()
-	if res := tk.Result(); !errors.Is(res.Err, merr.ErrCanceled) {
-		t.Fatalf("canceled index query err=%v, want merr.ErrCanceled", res.Err)
+	select {
+	case <-slow.Done():
+		t.Fatal("the slow row query finished first; the worker was not held")
+	default:
 	}
 
-	// Expired deadline while queued behind the busy worker.
-	if _, err := p.Submit(Query{Kind: RowMinima, A: slowMatrix(8, 8, 3*time.Millisecond)}); err != nil {
-		t.Fatal(err)
-	}
-	dctx, dcancel := context.WithTimeout(context.Background(), time.Microsecond)
-	defer dcancel()
-	tk2, err := p.SubmitCtx(dctx, Query{Kind: RangeRowMinima, Index: ix, R1: 0, R2: 31})
-	if err != nil {
-		if !errors.Is(err, ErrDeadlineExceeded) {
-			t.Fatalf("expired submit err=%v, want ErrDeadlineExceeded", err)
+	// submitErr is the error of a submission, whether SubmitCtx returns
+	// it or the ticket resolves with it.
+	submitErr := func(p *Pool, ctx context.Context, q Query) error {
+		tk, err := p.SubmitCtx(ctx, q)
+		if err != nil {
+			return err
 		}
-		return
+		return tk.Result().Err
 	}
-	if res := tk2.Result(); !errors.Is(res.Err, ErrDeadlineExceeded) {
-		t.Fatalf("expired index query err=%v, want ErrDeadlineExceeded", res.Err)
+	cancel()
+	expired, ecancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer ecancel()
+	for _, q := range []Query{submax, rows} {
+		if err := submitErr(p, ctx, q); !errors.Is(err, merr.ErrCanceled) {
+			t.Fatalf("kind %d, canceled context: err=%v, want merr.ErrCanceled", q.Kind, err)
+		}
+		if err := submitErr(p, expired, q); !errors.Is(err, ErrDeadlineExceeded) {
+			t.Fatalf("kind %d, expired context: err=%v, want ErrDeadlineExceeded", q.Kind, err)
+		}
+	}
+
+	pctx, pcancel := context.WithCancel(context.Background())
+	pp := New(pram.CRCW, Options{Workers: 1, Context: pctx})
+	defer pp.Close()
+	pcancel()
+	for _, q := range []Query{submax, rows} {
+		if err := submitErr(pp, context.Background(), q); !errors.Is(err, merr.ErrCanceled) {
+			t.Fatalf("kind %d, canceled pool context: err=%v, want merr.ErrCanceled", q.Kind, err)
+		}
 	}
 }
 
@@ -282,4 +318,32 @@ func TestIndexPoolShutdown(t *testing.T) {
 		t.Fatalf("Submit after Close: err=%v, want ErrClosed", err)
 	}
 	waitGoroutines(t, base)
+}
+
+// TestIndexPoolStats pins the serving counters around the index kinds:
+// they count in Stats.Queries but in no shard's PerWorker count, since
+// no shard served them.
+func TestIndexPoolStats(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	ix := mindex.Build(marray.RandomMonge(rng, 16, 16), mindex.Opts{})
+	p := New(pram.CRCW, Options{Workers: 2})
+	defer p.Close()
+	for i := 0; i < 10; i++ {
+		if _, err := p.Submit(Query{Kind: RangeRowMinima, Index: ix, R1: i, R2: 15}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tk, err := p.Submit(smallQuery(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tk.Result()
+	st := p.Stats()
+	var shards int64
+	for _, n := range st.PerWorker {
+		shards += n
+	}
+	if st.Queries != 11 || shards != 1 {
+		t.Fatalf("Queries=%d, shard total %d (%v); want 11 answered, 1 by a shard", st.Queries, shards, st.PerWorker)
+	}
 }

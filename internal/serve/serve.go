@@ -12,6 +12,14 @@
 // sequential facade: sharding changes who computes an answer, never the
 // answer.
 //
+// The two index kinds, SubmatrixMax and RangeRowMinima, never reach a
+// shard: a query on a prebuilt mindex.Index costs about as much as the
+// handoff to a worker and back, so submit answers it on the submitting
+// goroutine, with the same answer function the workers call, once the
+// closed check and the inflight registration have passed. Their ticket
+// is resolved when Submit returns, and Wait and Close cover them as
+// they cover queued queries.
+//
 // Each worker's machines run with a private one-worker pool
 // (batch.Driver.SetMachineWorkers(1)), so a W-worker Pool is W
 // independent CPU-bound goroutines — supersteps execute inline on the
@@ -33,7 +41,9 @@
 // queue unblocks the moment its context is done, and a query whose
 // context has expired by the time a worker picks it up is dropped
 // before evaluation, its ticket resolving with ErrDeadlineExceeded (or
-// merr.ErrCanceled for plain cancellation). TrySubmit never blocks at
+// merr.ErrCanceled for plain cancellation). An index query checks the
+// caller's context and the pool context just before it runs on the
+// caller, with the same errors. TrySubmit never blocks at
 // all — a full queue is ErrOverloaded, the fail-fast primitive the
 // admission front (internal/admit) builds its bounded-queue policy on.
 // Close transitions the pool through an observable draining state
@@ -47,8 +57,10 @@
 // boundary itself is chaos-testable: Options.Chaos (defaulting to the
 // same process-wide injector) injects deterministic queue stalls on the
 // submit path and slow-shard latency on the dispatch path, and the
-// admission front layers ticket drops on top. Every query failure
-// travels on its own ticket; one bad query cannot poison the pool.
+// admission front layers ticket drops on top. The index kinds take no
+// queue and no shard, so queue stalls and slow shards do not apply to
+// them; ticket drops do. Every query failure travels on its own ticket;
+// one bad query cannot poison the pool.
 package serve
 
 import (
@@ -272,8 +284,9 @@ type Pool struct {
 	done     sync.WaitGroup // running workers
 	subSeq   atomic.Int64   // chaos unit ids for the submit path
 
-	served []shardCount
-	imbMu  sync.Mutex // serialises count+store of obs.ShardImbalance
+	served         []shardCount
+	onCallerServed atomic.Int64 // queries answered on the submitting goroutine
+	imbMu          sync.Mutex   // serialises count+store of obs.ShardImbalance
 
 	obsC *obs.Counters
 }
@@ -379,10 +392,6 @@ func (p *Pool) submit(ctx context.Context, q Query, wait bool) (*Ticket, error) 
 	if err := ctx.Err(); err != nil {
 		return nil, ctxError(ctx)
 	}
-	t := &Ticket{q: q, done: make(chan struct{})}
-	if ctx != context.Background() {
-		t.ctx = ctx
-	}
 	// The read lock covers only the closed check and the inflight
 	// registration — never the enqueue — so Close's write lock is never
 	// delayed by a submitter stuck on a full queue. The send below still
@@ -398,6 +407,13 @@ func (p *Pool) submit(ctx context.Context, q Query, wait bool) (*Ticket, error) 
 	p.inflight.Add(1)
 	p.mu.RUnlock()
 
+	if onCaller(q.Kind) {
+		return p.answerOnCaller(ctx, q), nil
+	}
+	t := &Ticket{q: q, done: make(chan struct{})}
+	if ctx != context.Background() {
+		t.ctx = ctx
+	}
 	if p.chaos != nil {
 		if d := p.chaos.QueueStall(p.subSeq.Add(1)); d > 0 {
 			time.Sleep(d)
@@ -432,6 +448,40 @@ func (p *Pool) submit(ctx context.Context, q Query, wait bool) (*Ticket, error) 
 	return t, nil
 }
 
+// onCaller reports whether kind is answered on the submitting goroutine.
+// The index kinds read a prebuilt mindex.Index in about a microsecond,
+// less than the handoff to a worker and back costs, and touch no
+// driver.
+func onCaller(kind Kind) bool { return kind == SubmatrixMax || kind == RangeRowMinima }
+
+// resolved is the Done channel of every ticket answered on the caller.
+var resolved = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
+
+// answerOnCaller answers q on the submitting goroutine and releases its
+// inflight registration: a ticket resolved before submit returns. A
+// caller context or pool context that is done by now resolves the
+// ticket with the same errors a worker would give it.
+func (p *Pool) answerOnCaller(ctx context.Context, q Query) *Ticket {
+	t := &Ticket{done: resolved}
+	switch {
+	case ctx.Err() != nil:
+		p.obsC.Add(obs.DeadlineExpired, 1)
+		t.res.Err = ctxError(ctx)
+	case p.opt.Context != nil && p.opt.Context.Err() != nil:
+		t.res.Err = merr.Canceled(p.opt.Context.Err())
+	default:
+		t.res = answer(nil, nil, q)
+	}
+	p.onCallerServed.Add(1)
+	p.obsC.Add(obs.QueriesServed, 1)
+	p.inflight.Done()
+	return t
+}
+
 // Wait blocks until every query submitted so far has resolved. The pool
 // keeps serving; Wait is the batch barrier, Close the shutdown.
 func (p *Pool) Wait() { p.inflight.Wait() }
@@ -459,11 +509,14 @@ func (p *Pool) Close() {
 }
 
 // Stats is a point-in-time view of the pool's serving counters.
+// Queries counts every answered query; PerWorker and Imbalance count
+// only what the shards served, so the index kinds, answered on the
+// submitting goroutine, are in Queries but in no shard's count.
 type Stats struct {
 	Workers    int
 	State      string  // StateServing, StateDraining, or StateClosed
 	QueueDepth int     // queries currently waiting in the submit queue
-	Queries    int64   // total queries answered
+	Queries    int64   // total queries answered, shards and callers
 	PerWorker  []int64 // queries answered by each shard
 	Imbalance  int64   // max minus min of PerWorker
 
@@ -475,7 +528,7 @@ type Stats struct {
 // Stats snapshots the serving counters. Safe to call at any time,
 // including while queries are in flight (counts may be mid-update).
 func (p *Pool) Stats() Stats {
-	st := Stats{Workers: p.workers, PerWorker: make([]int64, p.workers)}
+	st := Stats{Workers: p.workers, PerWorker: make([]int64, p.workers), Queries: p.onCallerServed.Load()}
 	switch p.state.Load() {
 	case 0:
 		st.State = StateServing
@@ -589,7 +642,8 @@ func (p *Pool) resolve(d *batch.Driver, eng *minplus.Engine, t *Ticket) Result {
 }
 
 // answer runs one query on the shard's driver, converting any thrown
-// merr condition into the ticket's error.
+// merr condition into the ticket's error. The index kinds use neither
+// driver nor engine, so answerOnCaller passes nil for both.
 func answer(d *batch.Driver, eng *minplus.Engine, q Query) (res Result) {
 	defer merr.Catch(&res.Err)
 	switch q.Kind {
