@@ -201,6 +201,15 @@ func (f *Front) bump(id obs.ID) {
 // watcher goroutine for a queued query, before Admit returns for a
 // ticket that is already resolved.
 func (f *Front) Admit(ctx context.Context, req Request) (*serve.Ticket, error) {
+	paid := false
+	return f.admit(ctx, req, &paid)
+}
+
+// admit is Admit with the tenant debit made once per request: the
+// tenant bucket is skipped when *paid is set, and a successful debit
+// sets it. Do threads one flag through a request's retries, chaos
+// redeliveries and hedge, so the tenant pays for the request once.
+func (f *Front) admit(ctx context.Context, req Request, paid *bool) (*serve.Ticket, error) {
 	if ctx.Err() != nil {
 		f.bump(obs.DeadlineExpired)
 		return nil, serve.ContextError(ctx)
@@ -216,10 +225,13 @@ func (f *Front) Admit(ctx context.Context, req Request) (*serve.Ticket, error) {
 		f.bump(obs.Shed)
 		return nil, fmt.Errorf("%w: low-priority work shed at load %d/%d", ErrOverloaded, n, f.maxInflight)
 	}
-	if f.rate > 0 && !f.takeTenantToken(req.Tenant) {
-		f.inflight.Add(-1)
-		f.bump(obs.Rejected)
-		return nil, fmt.Errorf("%w: tenant %q quota exhausted", ErrOverloaded, req.Tenant)
+	if f.rate > 0 && !*paid {
+		if !f.takeTenantToken(req.Tenant) {
+			f.inflight.Add(-1)
+			f.bump(obs.Rejected)
+			return nil, fmt.Errorf("%w: tenant %q quota exhausted", ErrOverloaded, req.Tenant)
+		}
+		*paid = true
 	}
 	tk, err := f.pool.TrySubmit(ctx, req.Query)
 	if err != nil {
@@ -325,9 +337,10 @@ func (f *Front) Do(ctx context.Context, req Request) serve.Result {
 	unit := f.seq.Add(1)
 	attempt := 0    // policy retries consumed
 	redelivery := 0 // chaos ticket-drop redeliveries (bounded by faults.MaxAttempts)
+	paid := false   // the tenant bucket was debited for this request
 	chaos := f.pool.Chaos()
 	for {
-		tk, err := f.Admit(ctx, req)
+		tk, err := f.admit(ctx, req, &paid)
 		if err != nil {
 			if retryable(err) && attempt+1 < f.retryMax && ctx.Err() == nil && f.takeRetryToken() {
 				attempt++
@@ -337,7 +350,7 @@ func (f *Front) Do(ctx context.Context, req Request) serve.Result {
 			}
 			return serve.Result{Err: err}
 		}
-		res := f.await(ctx, req, tk)
+		res := f.await(ctx, req, tk, &paid)
 		if res.Err == nil && chaos.Enabled() && chaos.TicketDrop(unit, redelivery) {
 			// The answer was computed but lost on the way back — the
 			// injected transport fault. Queries are pure: resubmit and
@@ -358,8 +371,9 @@ func (f *Front) Do(ctx context.Context, req Request) serve.Result {
 
 // await blocks until tk resolves, ctx is done, or the hedging threshold
 // passes — in which case one hedged second attempt races the first and
-// the earlier answer wins.
-func (f *Front) await(ctx context.Context, req Request, tk *serve.Ticket) serve.Result {
+// the earlier answer wins. The hedge is admitted under the request's
+// paid flag, so it does not debit the tenant again.
+func (f *Front) await(ctx context.Context, req Request, tk *serve.Ticket, paid *bool) serve.Result {
 	select {
 	case <-tk.Done():
 		return tk.Result()
@@ -384,7 +398,7 @@ func (f *Front) await(ctx context.Context, req Request, tk *serve.Ticket) serve.
 	}
 	// Past the latency threshold: hedge. Failure to admit the hedge
 	// (no capacity) is not an error — the first attempt keeps running.
-	tk2, err := f.Admit(ctx, req)
+	tk2, err := f.admit(ctx, req, paid)
 	if err != nil {
 		select {
 		case <-tk.Done():

@@ -555,10 +555,7 @@ func TestIndexAdmissionAccounting(t *testing.T) {
 	})
 
 	t.Run("tenant-bucket", func(t *testing.T) {
-		// Chaos is pinned off: a ticket-drop redelivery passes the
-		// tenant gate again, so under FAULT_RATE it would spend the
-		// tenant's only token on the first request's own redelivery.
-		p := serve.New(pram.CRCW, serve.Options{Workers: 1, Chaos: faults.New(0, 0)})
+		p := serve.New(pram.CRCW, serve.Options{Workers: 1})
 		defer p.Close()
 		f := New(p, &Options{TenantRate: 1, TenantBurst: 1})
 		if res := f.Do(context.Background(), Request{Query: q0, Tenant: "a", Priority: 1}); res.Err != nil || res.Pos != want0 {
@@ -566,6 +563,26 @@ func TestIndexAdmissionAccounting(t *testing.T) {
 		}
 		if res := f.Do(context.Background(), Request{Query: q0, Tenant: "a", Priority: 1}); !errors.Is(res.Err, ErrOverloaded) {
 			t.Fatalf("second immediate index Do: err=%v, want ErrOverloaded", res.Err)
+		}
+	})
+
+	t.Run("tenant-bucket-redelivery", func(t *testing.T) {
+		// Under both seeds the first Do's answer is dropped once: the
+		// redelivery must not spend the tenant's only token again.
+		for _, seed := range []int64{1, 11} {
+			inj := faults.New(seed, 0.5)
+			p := serve.New(pram.CRCW, serve.Options{Workers: 1, Chaos: inj})
+			f := New(p, &Options{TenantRate: 1, TenantBurst: 1})
+			if res := f.Do(context.Background(), Request{Query: q0, Tenant: "a", Priority: 1}); res.Err != nil || res.Pos != want0 {
+				t.Fatalf("seed %d: first index Do: %+v, want %+v", seed, res, want0)
+			}
+			if inj.Stats().TicketDrops == 0 {
+				t.Fatalf("seed %d: the first answer was not dropped; the case redelivers nothing", seed)
+			}
+			if res := f.Do(context.Background(), Request{Query: q0, Tenant: "a", Priority: 1}); !errors.Is(res.Err, ErrOverloaded) {
+				t.Fatalf("seed %d: second immediate index Do: err=%v, want ErrOverloaded", seed, res.Err)
+			}
+			p.Close()
 		}
 	})
 

@@ -126,8 +126,8 @@ func TestNativeDriverStats(t *testing.T) {
 }
 
 // TestNativeDriverMachineWorkers checks SetMachineWorkers re-sizes the
-// native fan-out pool without changing answers, and that Close leaves
-// the driver reusable.
+// pool a native driver's Fanout reports without changing the kernels'
+// answers, and that Close leaves the driver reusable.
 func TestNativeDriverMachineWorkers(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	a := marray.RandomMonge(rng, 1024, 64)
@@ -140,6 +140,9 @@ func TestNativeDriverMachineWorkers(t *testing.T) {
 		if fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Fatalf("workers=%d: answers changed", w)
 		}
-		d.Close() // reusable: next query rebuilds the pool
+		if pool, _ := d.Fanout(); pool.Workers() != w {
+			t.Fatalf("workers=%d: Fanout pool has %d workers", w, pool.Workers())
+		}
+		d.Close() // reusable: next Fanout rebuilds the pool
 	}
 }

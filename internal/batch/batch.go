@@ -72,11 +72,11 @@ type Driver struct {
 	haveInjector bool
 	// machineWorkers, when positive, gives every machine a private
 	// worker pool of that size instead of the shared exec.Default pool.
-	// A native driver sizes its kernel fan-out pool by the same knob.
+	// A native driver sizes the pool Fanout reports by the same knob.
 	machineWorkers int
 	machines       map[int]*pram.Machine // keyed by normalized processor count
-	// npool is the native backend's lazily created private fan-out pool
-	// (only when machineWorkers is set; otherwise kernels share
+	// npool is the native backend's lazily created private Fanout pool
+	// (only when machineWorkers is set; otherwise Fanout reports
 	// exec.Default, mirroring the machines' pool inheritance).
 	npool *exec.Pool
 }
@@ -129,7 +129,9 @@ func (d *Driver) SetFaults(in *faults.Injector) {
 // single-worker pools are the right one when many drivers serve
 // concurrently and each should stay on its own core instead of
 // contending for the shared pool's workers. Charged costs and results
-// are identical either way (the runtime's chunking contract).
+// are identical either way (the runtime's chunking contract). On a
+// native driver w sizes only the pool Fanout reports: the native
+// kernels themselves always run inline on the querying goroutine.
 func (d *Driver) SetMachineWorkers(w int) {
 	if w < 1 {
 		w = 1
@@ -144,30 +146,24 @@ func (d *Driver) SetMachineWorkers(w int) {
 	}
 }
 
-// nativePool returns the pool the native kernels fan out on: a private
-// pool of machineWorkers workers when SetMachineWorkers was called
-// (created lazily, so serve shards with width 1 never spawn a worker),
-// otherwise the shared exec.Default pool.
-func (d *Driver) nativePool() *exec.Pool {
-	if d.machineWorkers > 0 {
-		if d.npool == nil {
-			d.npool = exec.NewPool(d.machineWorkers)
-		}
-		return d.npool
-	}
-	return exec.Default()
-}
-
-// Fanout reports how wide the driver's queries run: the pool a native
-// driver's kernels fan out on, and the context SetContext attached (nil
-// if none). The pool is nil on the PRAM backend, whose queries run on
-// the simulated machines. Callers that split work above the query level
-// (the min-plus engine's output-row blocks) size the split by it.
+// Fanout reports the pool a caller may split work across above the
+// query level (the min-plus engine's output-row blocks), and the
+// context SetContext attached (nil if none). On a native driver the
+// pool is a private pool of the SetMachineWorkers width (created
+// lazily, so serve shards with width 1 never spawn a worker), otherwise
+// the shared exec.Default pool. The pool is nil on the PRAM backend,
+// whose queries run on the simulated machines.
 func (d *Driver) Fanout() (*exec.Pool, context.Context) {
 	if d.backend != BackendNative {
 		return nil, d.ctx
 	}
-	return d.nativePool(), d.ctx
+	if d.machineWorkers <= 0 {
+		return exec.Default(), d.ctx
+	}
+	if d.npool == nil {
+		d.npool = exec.NewPool(d.machineWorkers)
+	}
+	return d.npool, d.ctx
 }
 
 // checkRowQuery rejects degenerate row-query shapes at the driver seam,
@@ -268,7 +264,7 @@ func (d *Driver) QueryStats(procs int, query func()) QueryStats {
 func (d *Driver) RowMinima(a marray.Matrix) []int {
 	checkRowQuery(a)
 	if d.backend == BackendNative {
-		return native.RowMinima(d.ctx, d.nativePool(), a)
+		return native.RowMinima(d.ctx, a)
 	}
 	return core.RowMinima(d.machineFor(a.Cols()), a)
 }
@@ -283,7 +279,7 @@ func (d *Driver) RowMinimaInto(a marray.Matrix, out []int) {
 	checkRowQuery(a)
 	checkOut(a, out)
 	if d.backend == BackendNative {
-		native.RowMinimaInto(d.ctx, d.nativePool(), a, out)
+		native.RowMinimaInto(d.ctx, a, out)
 		return
 	}
 	copy(out, core.RowMinima(d.machineFor(a.Cols()), a))
@@ -295,7 +291,7 @@ func (d *Driver) StaircaseRowMinimaInto(a marray.Matrix, out []int) {
 	checkRowQuery(a)
 	checkOut(a, out)
 	if d.backend == BackendNative {
-		native.StaircaseRowMinimaInto(d.ctx, d.nativePool(), a, out)
+		native.StaircaseRowMinimaInto(d.ctx, a, out)
 		return
 	}
 	copy(out, core.StaircaseRowMinima(d.machineFor(a.Cols()), a))
@@ -317,7 +313,7 @@ func checkOut(a marray.Matrix, out []int) {
 func (d *Driver) StaircaseRowMinima(a marray.Matrix) []int {
 	checkRowQuery(a)
 	if d.backend == BackendNative {
-		return native.StaircaseRowMinima(d.ctx, d.nativePool(), a)
+		return native.StaircaseRowMinima(d.ctx, a)
 	}
 	return core.StaircaseRowMinima(d.machineFor(a.Cols()), a)
 }
@@ -327,13 +323,13 @@ func (d *Driver) StaircaseRowMinima(a marray.Matrix) []int {
 func (d *Driver) TubeMaxima(c marray.Composite) ([][]int, [][]float64) {
 	checkTubeQuery(c)
 	if d.backend == BackendNative {
-		return native.TubeMaxima(d.ctx, d.nativePool(), c)
+		return native.TubeMaxima(d.ctx, c)
 	}
 	return core.TubeMaxima(d.machineFor(2*c.Q()*c.R()), c)
 }
 
 // Close resets every retained machine, releasing the scratch arenas and
-// any machine-private pools, and stops a native driver's private fan-out
+// any machine-private pools, and stops a native driver's private Fanout
 // pool. Close is idempotent; the Driver is reusable after it — the next
 // query rebuilds its machine or pool.
 func (d *Driver) Close() {

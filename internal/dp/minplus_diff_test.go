@@ -1,7 +1,7 @@
 // Differential tests between the sequential DP solvers in this package
 // and the batched (min,+) engine in internal/minplus. The two sides
 // share no code below their public surfaces — LWS runs the concave
-// candidate-interval stack, the engine runs SMAWK sweeps / ⊗-squaring /
+// candidate-interval stack, the engine runs layered SMAWK sweeps /
 // Lagrangian bisection over the kernel drivers — so agreement here
 // cross-checks both. External test package: minplus imports dp (the
 // λ-bisection strategy calls LWS), so the reverse import has to stay
@@ -75,7 +75,12 @@ func TestLWSMatchesMinPlusEngine(t *testing.T) {
 // TestLotSizeMatchesMinPlusEngine re-derives the Wagner-Whitin link
 // weight from the raw instance and checks that the engine's M-link
 // solver, pinned to the plan's production-run count, reproduces the
-// LotSize cost — and that no other run count beats it.
+// LotSize cost — and that no other run count beats it. The λ strategy
+// reads its path off the same LWS chain LotSize keeps, so its path must
+// match the plan node for node. The default strategy (the layered sweep
+// at these M) breaks cost ties by its own rule, the leftmost
+// predecessor per layer as MLinkBrute, so its path is checked for
+// validity and cost only.
 func TestLotSizeMatchesMinPlusEngine(t *testing.T) {
 	e := minplus.New(batch.BackendNative)
 	defer e.Close()
@@ -112,17 +117,39 @@ func TestLotSizeMatchesMinPlusEngine(t *testing.T) {
 			return setup[i] + (DH[j] - DH[i]) - H[i]*(D[j]-D[i])
 		})
 
+		lcost, lpath := e.MLinkPathStrategy(n, w, len(plan.Orders), minplus.StrategyLambda)
+		if !closeEnough(lcost, plan.Cost) {
+			t.Errorf("seed %d n=%d: λ MLinkPath(M=%d) = %g, LotSize cost = %g",
+				seed, n, len(plan.Orders), lcost, plan.Cost)
+		}
+		if len(lpath) != len(plan.Orders)+1 {
+			t.Fatalf("seed %d n=%d: λ path %v, want %d links", seed, n, lpath, len(plan.Orders))
+		}
+		for idx, s := range plan.Orders {
+			if lpath[idx] != s-1 {
+				t.Errorf("seed %d n=%d: λ path node %d = %d, plan orders in period %d",
+					seed, n, idx, lpath[idx], s)
+				break
+			}
+		}
+
 		cost, path := e.MLinkPath(n, w, len(plan.Orders))
 		if !closeEnough(cost, plan.Cost) {
 			t.Errorf("seed %d n=%d: MLinkPath(M=%d) = %g, LotSize cost = %g",
 				seed, n, len(plan.Orders), cost, plan.Cost)
 		}
-		for idx, s := range plan.Orders {
-			if path[idx] != s-1 {
-				t.Errorf("seed %d n=%d: path node %d = %d, plan orders in period %d",
-					seed, n, idx, path[idx], s)
-				break
+		if M := len(plan.Orders); len(path) != M+1 || path[0] != 0 || path[M] != n {
+			t.Fatalf("seed %d n=%d: path %v, want %d links from 0 to %d", seed, n, path, M, n)
+		}
+		sum := 0.0
+		for l := 1; l < len(path); l++ {
+			if path[l] <= path[l-1] {
+				t.Fatalf("seed %d n=%d: path %v not strictly increasing", seed, n, path)
 			}
+			sum += w(path[l-1], path[l])
+		}
+		if !closeEnough(sum, plan.Cost) {
+			t.Errorf("seed %d n=%d: path %v costs %g, LotSize cost = %g", seed, n, path, sum, plan.Cost)
 		}
 		for m := 1; m <= n; m++ {
 			if c, _ := e.MLinkPath(n, w, m); c < plan.Cost-1e-6 {

@@ -1,5 +1,5 @@
 // Package minplus implements Monge (min,+) matrix multiplication and
-// the shortest M-link path solver built on it.
+// the shortest M-link path solver that runs on the same driver.
 //
 // # The reduction
 //
@@ -24,7 +24,7 @@
 // structure: with A Monge, j*(i,k) is nondecreasing in i as well as in
 // k. The m rows are cut into contiguous row blocks, a few per pool
 // worker and at least minBlockRows tall, and the kernel (SMAWK, inline
-// on a width-1 native pool) solves only the anchor rows: the first row
+// on the block's goroutine) solves only the anchor rows: the first row
 // of each block, plus row m-1. Each block then fills the rows between
 // its anchor and the next by divide and conquer on midpoints. A row i
 // between solved rows lo < i < hi takes j*(i,k) from a leftmost scan of
@@ -58,7 +58,7 @@
 //     then has a finite prefix and a blocked suffix whose boundary is
 //     nonincreasing in k, i.e. W_i is staircase-Monge, and the engine
 //     routes the slice through the staircase row-minima kernels.
-//   - Upper-triangular DAG matrices (the M-link weight matrices
+//   - Upper-triangular DAG matrices (link weight matrices
 //     D[i][j] = w(i,j) for i < j, +Inf otherwise, and their ⊗ powers):
 //     slice row k is finite exactly on a window whose left edge is
 //     fixed and whose right edge grows with k. Such slices are totally
@@ -79,9 +79,9 @@
 // stores only the run breaks — the columns where the argmin row of B
 // changes — per arXiv 2408.04613's core representation. A product of
 // two n x n Monge matrices carries at most min(q,r)+1 runs per row and
-// typically far fewer, so repeated ⊗-squaring (the M-link solver)
-// stays subquadratic in space while At/Witness remain O(lg runs)
-// binary searches.
+// typically far fewer, so a chain of products used as factors stays
+// subquadratic in space while At/Witness remain O(lg runs) binary
+// searches.
 package minplus
 
 import (
@@ -204,8 +204,9 @@ const (
 	windowBudget = 3
 )
 
-// serialPool is the width-1 pool every kernel query of a row block runs
-// on: one-worker pools run inline and never start a goroutine.
+// serialPool is the width-1 pool a PRAM driver's product fills B's
+// transposed copy on: one-worker pools run inline and never start a
+// goroutine.
 var serialPool = exec.NewPool(1)
 
 // counters returns the process observer's "minplus" site, or nil when
@@ -486,7 +487,7 @@ func (e *Engine) multiply(a, b marray.Matrix, stair bool) *Product {
 	if stair {
 		kernel = native.StaircaseRowMinimaInto
 	}
-	query := func(w marray.Matrix, out []int) { kernel(ctx, serialPool, w, out) }
+	query := func(w marray.Matrix, out []int) { kernel(ctx, w, out) }
 	nb := rowBlocks(pool, m)
 	first := func(t int) int { return t * m / nb } // block t is rows [first(t), first(t+1))
 	bands := make([]*band, nb)
@@ -604,7 +605,7 @@ func transposeB(ctx context.Context, pool *exec.Pool, b marray.Matrix, m int) *m
 // row of B) changes, plus the retained factors. Entries are recomputed
 // on demand as A[i][j*] + B[j*][k], so a Product implements
 // marray.Matrix and can itself be a factor of the next multiplication
-// — repeated squaring never materializes an n x n value array. Safe
+// — a chain of products never materializes an n x n value array. Safe
 // for concurrent At/Witness calls, like every Matrix.
 type Product struct {
 	m, r int

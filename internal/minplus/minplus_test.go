@@ -130,7 +130,7 @@ func TestMultiplyMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestProductAsFactor pins the squaring story: a run-sparse Product is
+// TestProductAsFactor pins product chaining: a run-sparse Product is
 // itself a valid Monge factor, and chained engine products agree with
 // chained naive products entry for entry. Integer factors keep float
 // addition association irrelevant.

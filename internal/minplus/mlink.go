@@ -3,13 +3,8 @@ package minplus
 // The shortest M-link path problem (arXiv 2408.00227 territory): in
 // the complete DAG on nodes 0..n with Monge edge weights w(i,j) for
 // i < j, find the cheapest path from 0 to n using exactly M edges.
-// Three exact strategies share the engine:
+// Two exact strategies share the engine's driver:
 //
-//   - Squaring: the 1-link weight matrix D (upper-triangular, +Inf
-//     below the diagonal) is raised to D^⊗M by binary exponentiation
-//     of run-sparse Products; the witness tree of the multiplication
-//     order reconstructs the path. O(n² lg M) evaluations — the route
-//     that exercises the ⊗ engine itself, right for small M.
 //   - Layered: M SMAWK sweeps of the layer recurrence f_l(j) =
 //     min_{i<j} f_{l-1}(i) + w(i,j). Each sweep is one (n+1)×(n+1)
 //     totally monotone row-minima query (the same shape every layer,
@@ -22,7 +17,7 @@ package minplus
 //     f_λ(n) − λM the exact M-link optimum; a duality gap (no λ hits
 //     M) falls back to the layered sweep, keeping the strategy exact.
 //
-// All strategies use the same conventions: +Inf cost and a nil path
+// Both strategies use the same conventions: +Inf cost and a nil path
 // when no M-link path exists (M > n, for instance), leftmost
 // tie-breaking on predecessors.
 
@@ -65,16 +60,22 @@ func CheckLinkWeightSampled(n int, w Weight) error {
 	return nil
 }
 
+// autoLayeredLinks is the largest M that StrategyAuto answers with the
+// layered sweep. The sweep's M SMAWK passes read 3.5-4.7·M·(2n+2)
+// weights (TestMLinkPathEvaluations); the λ search's LWS probes do not
+// multiply with M. On integer Monge weights the two take about the
+// same time at M = 16 for n = 256 and 1024, and λ is twice as fast at
+// M = 32; on a convex-gap weight the sweep stays ahead to M = 32 at
+// n >= 1024 (EXPERIMENTS.md, M-link strategies).
+const autoLayeredLinks = 16
+
 // Strategy selects the M-link algorithm.
 type Strategy int
 
 const (
-	// StrategyAuto squares for small M on small graphs (the regime
-	// where O(n² lg M) is cheap and the ⊗ engine shines) and otherwise
-	// runs the λ search with its layered fallback.
+	// StrategyAuto runs the layered sweep for M <= autoLayeredLinks
+	// and otherwise the λ search with its layered fallback.
 	StrategyAuto Strategy = iota
-	// StrategySquaring forces repeated ⊗-squaring of the link matrix.
-	StrategySquaring
 	// StrategyLayered forces the M-sweep layered DP.
 	StrategyLayered
 	// StrategyLambda forces the Lagrangian bisection (layered fallback
@@ -85,8 +86,6 @@ const (
 // String names the strategy as the bench output spells it.
 func (s Strategy) String() string {
 	switch s {
-	case StrategySquaring:
-		return "squaring"
 	case StrategyLayered:
 		return "layered"
 	case StrategyLambda:
@@ -113,79 +112,10 @@ func (e *Engine) MLinkPathStrategy(n int, w Weight, M int, s Strategy) (float64,
 		// nodes in [0, n] — impossible beyond M = n.
 		return inf, nil
 	}
-	switch s {
-	case StrategySquaring:
-		return e.mlinkSquaring(n, w, M)
-	case StrategyLayered:
+	if s == StrategyLayered || (s == StrategyAuto && M <= autoLayeredLinks) {
 		return e.mlinkLayered(n, w, M)
-	case StrategyLambda:
-		return e.mlinkLambda(n, w, M)
-	}
-	if M <= 8 && n <= 1024 {
-		return e.mlinkSquaring(n, w, M)
 	}
 	return e.mlinkLambda(n, w, M)
-}
-
-// linkMatrix is the 1-link weight matrix D[i][j] = w(i,j) for i < j,
-// +Inf at and below the diagonal, over nodes 0..n.
-func linkMatrix(n int, w Weight) marray.Matrix {
-	return marray.Func{M: n + 1, N: n + 1, F: func(i, j int) float64 {
-		if i < j {
-			return w(i, j)
-		}
-		return inf
-	}}
-}
-
-// mlinkSquaring computes D^⊗M by binary exponentiation and walks the
-// witness tree of the multiplication order to reconstruct the path.
-func (e *Engine) mlinkSquaring(n int, w Weight, M int) (float64, []int) {
-	// powNode records how each matrix in the exponentiation tree was
-	// formed: a leaf is the 1-link base, an inner node the ⊗ of its
-	// children, whose Product witnesses split any (i, k) pair.
-	type powNode struct {
-		mat         marray.Matrix
-		prod        *Product // nil for the base
-		left, right *powNode
-	}
-	mul := func(x, y *powNode) *powNode {
-		p := e.multiply(x.mat, y.mat, false)
-		return &powNode{mat: p, prod: p, left: x, right: y}
-	}
-	cur := &powNode{mat: linkMatrix(n, w)}
-	var result *powNode
-	for bits := M; ; {
-		if bits&1 == 1 {
-			if result == nil {
-				result = cur
-			} else {
-				result = mul(result, cur)
-			}
-		}
-		bits >>= 1
-		if bits == 0 {
-			break
-		}
-		cur = mul(cur, cur)
-	}
-	cost := result.mat.At(0, n)
-	if math.IsInf(cost, 1) {
-		return inf, nil
-	}
-	path := make([]int, 1, M+1)
-	var rec func(nd *powNode, i, k int)
-	rec = func(nd *powNode, i, k int) {
-		if nd.prod == nil {
-			path = append(path, k)
-			return
-		}
-		j := nd.prod.Witness(i, k)
-		rec(nd.left, i, j)
-		rec(nd.right, j, k)
-	}
-	rec(result, 0, n)
-	return cost, path
 }
 
 // mlinkLayered runs M row-minima sweeps of the layer matrix

@@ -6,10 +6,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"monge/internal/core"
-	"monge/internal/exec"
 	"monge/internal/marray"
 	"monge/internal/merr"
 	"monge/internal/native"
@@ -108,15 +108,12 @@ func stairFamilies(rng *rand.Rand, m, n int) []rowCase {
 }
 
 // TestNativeMatchesPRAM is the differential conformance table: every
-// kernel x shape x input family runs through the native backend (on a
-// 4-worker pool, so the block fan-out engages even on one CPU) and
+// kernel x shape x input family runs through the native backend and
 // through the PRAM oracle, and any index mismatch fails. Under the CI
 // fault matrix the oracle additionally runs with injected machine faults,
 // so this test also proves the oracle stays usable as a conformance
 // reference under recovery.
 func TestNativeMatchesPRAM(t *testing.T) {
-	pool := exec.NewPool(4)
-	defer pool.Close()
 	shapes := []struct{ m, n int }{
 		{1, 1}, {1, 33}, {33, 1}, {63, 63}, {64, 64}, {1024, 1024},
 	}
@@ -124,7 +121,7 @@ func TestNativeMatchesPRAM(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(sh.m)*1000 + int64(sh.n)))
 		for _, tc := range rowFamilies(rng, sh.m, sh.n) {
 			t.Run(fmt.Sprintf("smawk/%dx%d/%s", sh.m, sh.n, tc.name), func(t *testing.T) {
-				got := native.RowMinima(context.Background(), pool, tc.a)
+				got := native.RowMinima(context.Background(), tc.a)
 				want := core.RowMinima(pram.New(pram.CRCW, sh.n), tc.a)
 				if i := diffIdx(got, want); i >= 0 {
 					t.Fatalf("row %d: native %d, PRAM %d", i, got[i], want[i])
@@ -133,7 +130,7 @@ func TestNativeMatchesPRAM(t *testing.T) {
 		}
 		for _, tc := range stairFamilies(rng, sh.m, sh.n) {
 			t.Run(fmt.Sprintf("staircase/%dx%d/%s", sh.m, sh.n, tc.name), func(t *testing.T) {
-				got := native.StaircaseRowMinima(context.Background(), pool, tc.a)
+				got := native.StaircaseRowMinima(context.Background(), tc.a)
 				want := core.StaircaseRowMinima(pram.New(pram.CRCW, sh.n), tc.a)
 				if i := diffIdx(got, want); i >= 0 {
 					t.Fatalf("row %d: native %d, PRAM %d", i, got[i], want[i])
@@ -149,7 +146,7 @@ func TestNativeMatchesPRAM(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(sh.p)*100 + int64(sh.q)*10 + int64(sh.r)))
 		c := marray.RandomComposite(rng, sh.p, sh.q, sh.r)
 		t.Run(fmt.Sprintf("tube/%dx%dx%d", sh.p, sh.q, sh.r), func(t *testing.T) {
-			gotJ, gotV := native.TubeMaxima(context.Background(), pool, c)
+			gotJ, gotV := native.TubeMaxima(context.Background(), c)
 			wantJ, wantV := core.TubeMaxima(pram.New(pram.CRCW, 2*sh.q*sh.r), c)
 			for i := range wantJ {
 				for k := range wantJ[i] {
@@ -167,21 +164,19 @@ func TestNativeMatchesPRAM(t *testing.T) {
 // the kernels throw merr.ErrDimensionMismatch instead of returning
 // backend-dependent silent answers.
 func TestNativeDegenerateShapes(t *testing.T) {
-	pool := exec.NewPool(2)
-	defer pool.Close()
 	cases := []struct {
 		name string
 		f    func()
 	}{
-		{"rows-0xN", func() { native.RowMinima(nil, pool, marray.NewDense(0, 5)) }},
-		{"rows-Mx0", func() { native.RowMinima(nil, pool, marray.NewDense(5, 0)) }},
-		{"stair-0xN", func() { native.StaircaseRowMinima(nil, pool, marray.NewDense(0, 5)) }},
-		{"stair-Mx0", func() { native.StaircaseRowMinima(nil, pool, marray.NewDense(5, 0)) }},
+		{"rows-0xN", func() { native.RowMinima(nil, marray.NewDense(0, 5)) }},
+		{"rows-Mx0", func() { native.RowMinima(nil, marray.NewDense(5, 0)) }},
+		{"stair-0xN", func() { native.StaircaseRowMinima(nil, marray.NewDense(0, 5)) }},
+		{"stair-Mx0", func() { native.StaircaseRowMinima(nil, marray.NewDense(5, 0)) }},
 		{"tube-p0", func() {
-			native.TubeMaxima(nil, pool, marray.Composite{D: marray.NewDense(0, 3), E: marray.NewDense(3, 4)})
+			native.TubeMaxima(nil, marray.Composite{D: marray.NewDense(0, 3), E: marray.NewDense(3, 4)})
 		}},
 		{"tube-r0", func() {
-			native.TubeMaxima(nil, pool, marray.Composite{D: marray.NewDense(2, 3), E: marray.NewDense(3, 0)})
+			native.TubeMaxima(nil, marray.Composite{D: marray.NewDense(2, 3), E: marray.NewDense(3, 0)})
 		}},
 	}
 	for _, tc := range cases {
@@ -191,21 +186,18 @@ func TestNativeDegenerateShapes(t *testing.T) {
 	}
 }
 
-// TestNativeCancellation covers both cancellation sites: the entry check
-// on the serial path and the between-blocks poll on the fan-out path.
+// TestNativeCancellation checks the per-query context check on every
+// kernel: a done context throws merr.ErrCanceled before any entry is
+// read.
 func TestNativeCancellation(t *testing.T) {
-	pool := exec.NewPool(2)
-	defer pool.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	rng := rand.New(rand.NewSource(9))
 	small := marray.RandomMonge(rng, 8, 8)
-	big := marray.RandomMonge(rng, 1024, 64)
 	for name, f := range map[string]func(){
-		"serial":  func() { native.RowMinima(ctx, pool, small) },
-		"fan-out": func() { native.RowMinima(ctx, pool, big) },
-		"stair":   func() { native.StaircaseRowMinima(ctx, pool, marray.RandomStaircaseMonge(rng, 1024, 64)) },
-		"tube":    func() { native.TubeMaxima(ctx, pool, marray.RandomComposite(rng, 48, 8, 8)) },
+		"serial": func() { native.RowMinima(ctx, small) },
+		"stair":  func() { native.StaircaseRowMinima(ctx, marray.RandomStaircaseMonge(rng, 1024, 64)) },
+		"tube":   func() { native.TubeMaxima(ctx, marray.RandomComposite(rng, 48, 8, 8)) },
 	} {
 		if err := catch(f); !errors.Is(err, merr.ErrCanceled) {
 			t.Errorf("%s: err = %v, want ErrCanceled", name, err)
@@ -213,108 +205,108 @@ func TestNativeCancellation(t *testing.T) {
 	}
 }
 
-// TestNativeObsCounters checks the kernels land their dispatch counters
-// on the observer's "native" site.
+// TestNativeObsCounters checks every kernel counts one search per
+// query on the observer's "native" site.
 func TestNativeObsCounters(t *testing.T) {
 	prev := obs.Global()
 	o := obs.NewObserver()
 	obs.SetGlobal(o)
 	defer obs.SetGlobal(prev)
 
-	pool := exec.NewPool(4)
-	defer pool.Close()
 	rng := rand.New(rand.NewSource(3))
-	native.RowMinima(nil, pool, marray.RandomMonge(rng, 1024, 32))
-	c := o.Site("native")
-	if c.Load(obs.Searches) != 1 {
-		t.Fatalf("Searches = %d, want 1", c.Load(obs.Searches))
-	}
-	if c.Load(obs.PoolLoops) != 1 || c.Load(obs.PoolChunks) < 2 {
-		t.Fatalf("PoolLoops = %d, PoolChunks = %d; want one fan-out loop of several chunks",
-			c.Load(obs.PoolLoops), c.Load(obs.PoolChunks))
+	native.RowMinima(nil, marray.RandomMonge(rng, 1024, 32))
+	native.StaircaseRowMinima(nil, marray.RandomStaircaseMonge(rng, 64, 64))
+	native.TubeMaxima(nil, marray.RandomComposite(rng, 8, 8, 8))
+	if got := o.Site("native").Load(obs.Searches); got != 3 {
+		t.Fatalf("Searches = %d after three queries, want 3", got)
 	}
 }
 
-// TestNativeHugeAspectChunks is the regression test for the
-// huge-aspect serialization bug: before the merge-path area split, a
-// 1xn query had a single row block and therefore one chunk no matter
-// how wide the row, so every worker but one sat idle. The area split
-// must produce at least W chunks whenever the area permits, on both
-// the flat (1xn) and the tall (nx1) extreme, and the answers must stay
-// index-exact with the sequential solver.
-func TestNativeHugeAspectChunks(t *testing.T) {
-	prev := obs.Global()
-	o := obs.NewObserver()
-	obs.SetGlobal(o)
-	defer obs.SetGlobal(prev)
-
-	const workers = 4
-	pool := exec.NewPool(workers)
-	defer pool.Close()
-	rng := rand.New(rand.NewSource(9))
-
-	flat := marray.RandomMonge(rng, 1, 1<<16)
-	got := native.RowMinima(nil, pool, flat)
-	want := smawk.RowMinima(flat)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("flat row %d: native %d, smawk %d", i, got[i], want[i])
-		}
-	}
-	c := o.Site("native")
-	if c.Load(obs.PoolChunks) < workers {
-		t.Fatalf("1x%d query ran as %d chunks; want >= %d so no worker idles",
-			flat.Cols(), c.Load(obs.PoolChunks), workers)
-	}
-
-	chunksBefore := c.Load(obs.PoolChunks)
-	tall := marray.RandomMonge(rng, 1<<16, 1)
-	got = native.RowMinima(nil, pool, tall)
-	want = smawk.RowMinima(tall)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("tall row %d: native %d, smawk %d", i, got[i], want[i])
-		}
-	}
-	if delta := c.Load(obs.PoolChunks) - chunksBefore; delta < workers {
-		t.Fatalf("%dx1 query ran as %d chunks; want >= %d", tall.Rows(), delta, workers)
-	}
+// countingMatrix counts the entries a kernel reads (atomically, so a
+// kernel that reads from several goroutines is counted exactly too).
+// It hides any Staircase boundary of the wrapped array, so a staircase
+// solver pays for its boundary searches in reads as well.
+type countingMatrix struct {
+	marray.Matrix
+	reads *atomic.Int64
 }
 
-// TestNativeColumnSplitExact pins the column-segment combine against
-// the sequential solvers on flat shapes that exercise every arm:
-// dense, Func-backed (the generic At loop), and staircase with blocked
-// tails (including fully blocked rows), at widths that do and do not
-// divide evenly into segments.
-func TestNativeColumnSplitExact(t *testing.T) {
-	pool := exec.NewPool(4)
-	defer pool.Close()
-	rng := rand.New(rand.NewSource(10))
+func (c countingMatrix) At(i, j int) float64 {
+	c.reads.Add(1)
+	return c.Matrix.At(i, j)
+}
 
-	for _, shape := range [][2]int{{1, 1 << 14}, {2, 12289}, {3, 4099}, {5, 2048}} {
-		m, n := shape[0], shape[1]
-		d := marray.RandomMonge(rng, m, n)
-		got := native.RowMinima(nil, pool, d)
-		want := smawk.RowMinima(d)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("dense %dx%d row %d: native %d, smawk %d", m, n, i, got[i], want[i])
-			}
-		}
-		f := marray.Func{M: m, N: n, F: d.At}
-		got = native.RowMinima(nil, pool, f)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("func %dx%d row %d: native %d, smawk %d", m, n, i, got[i], want[i])
-			}
-		}
-		st := marray.RandomStaircaseMonge(rng, m, n)
-		gotS := native.StaircaseRowMinima(nil, pool, st)
-		wantS := smawk.StaircaseRowMinima(st)
-		for i := range wantS {
-			if gotS[i] != wantS[i] {
-				t.Fatalf("stair %dx%d row %d: native %d, smawk %d", m, n, i, gotS[i], wantS[i])
-			}
-		}
+// convexGap returns a seeded implicit n x n Monge array
+// a[i,j] = r[i] + c[j] + (j-i)²: the gap penalty puts every row's
+// minimum near the diagonal, SMAWK's hardest case, where REDUCE can
+// discard few columns.
+func convexGap(rng *rand.Rand, n int) marray.Matrix {
+	r := make([]float64, n)
+	c := make([]float64, n)
+	for i := range r {
+		r[i], c[i] = rng.Float64()*float64(n), rng.Float64()*float64(n)
 	}
+	return marray.ConvexGapMonge(r, c, func(g int) float64 { return float64(g) * float64(g) })
+}
+
+// bilinear returns a seeded implicit n x n Monge array
+// a[i,j] = r[i] + c[j] - 5(i+1)(j+1) with offsets in [-100, 100): the
+// expected value of marray.RandomMonge's cumulative-sum construction,
+// whose minima gather in the last columns, without its dense n² table.
+func bilinear(rng *rand.Rand, n int) marray.Matrix {
+	r := make([]float64, n)
+	c := make([]float64, n)
+	for i := range r {
+		r[i], c[i] = rng.Float64()*200-100, rng.Float64()*200-100
+	}
+	return marray.Func{M: n, N: n, F: func(i, j int) float64 {
+		return r[i] + c[j] - 5*float64(i+1)*float64(j+1)
+	}}
+}
+
+// TestNativeReadBound pins the native kernels to the sequential
+// solvers' read counts on 4096² implicit inputs. Row minima reads
+// exactly what smawk.RowMinima reads: at most 3·(m+n) entries on the
+// RandomMonge-shaped input and 6·(m+n) on the convex-gap one, whose
+// diagonal minima cost SMAWK about 5·(m+n). Staircase row minima reads
+// no more than smawk.StaircaseRowMinima. A kernel that re-ran SMAWK on
+// every 16-row block over all n columns would read about 2·m·n²/2^16
+// entries, some 2 M here.
+func TestNativeReadBound(t *testing.T) {
+	const n = 4096
+	rng := rand.New(rand.NewSource(1))
+	gap := convexGap(rng, n)
+	for _, tc := range []struct {
+		name string
+		a    marray.Matrix
+		c    int64
+	}{
+		{"bilinear", bilinear(rng, n), 3},
+		{"convex-gap", gap, 6},
+	} {
+		var nat, seq atomic.Int64
+		got := native.RowMinima(nil, countingMatrix{tc.a, &nat})
+		want := smawk.RowMinima(countingMatrix{tc.a, &seq})
+		if bound := tc.c * (n + n); nat.Load() > bound || nat.Load() > seq.Load() {
+			t.Errorf("%s: native RowMinima read %d entries of a %dx%d array; smawk.RowMinima reads %d, bound %d(m+n) = %d",
+				tc.name, nat.Load(), n, n, seq.Load(), tc.c, bound)
+		}
+		if i := diffIdx(got, want); i >= 0 {
+			t.Fatalf("%s: native RowMinima differs from smawk at row %d", tc.name, i)
+		}
+		t.Logf("%s: row minima reads %d = %.2f(m+n)", tc.name, nat.Load(), float64(nat.Load())/(2*n))
+	}
+
+	bounds := marray.RandomStaircaseBoundary(rng, n, n)
+	stair := marray.StairFunc{M: n, N: n, F: gap.At, Bound: func(i int) int { return bounds[i] }}
+	var nat, seq atomic.Int64
+	got := native.StaircaseRowMinima(nil, countingMatrix{stair, &nat})
+	want := smawk.StaircaseRowMinima(countingMatrix{stair, &seq})
+	if nat.Load() > seq.Load() {
+		t.Errorf("native StaircaseRowMinima read %d entries, smawk.StaircaseRowMinima %d", nat.Load(), seq.Load())
+	}
+	if i := diffIdx(got, want); i >= 0 {
+		t.Fatalf("native StaircaseRowMinima differs from smawk at row %d", i)
+	}
+	t.Logf("staircase reads: native %d, sequential %d", nat.Load(), seq.Load())
 }

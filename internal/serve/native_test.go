@@ -90,7 +90,7 @@ func TestNativePoolDegenerateShapes(t *testing.T) {
 }
 
 // TestNativePoolGoroutineLeak pins native shutdown: after Close, the
-// workers and any native fan-out pools are gone.
+// workers and their drivers' Fanout pools are gone.
 func TestNativePoolGoroutineLeak(t *testing.T) {
 	base := runtime.NumGoroutine()
 	p := New(pram.CRCW, Options{Workers: 4, Backend: batch.BackendNative})

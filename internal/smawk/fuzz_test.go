@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"monge/internal/exec"
 	"monge/internal/marray"
 	"monge/internal/native"
 	"monge/internal/smawk"
@@ -37,10 +36,6 @@ import (
 // The committed corpora under testdata/fuzz keep the interesting shapes
 // (square, wide, tall, single row/column, tie/∞-heavy) replaying as
 // plain tests.
-
-// fuzzPool fans out the native kernels on a fixed width so the fuzz
-// inputs execute the same dispatch logic regardless of host CPUs.
-var fuzzPool = exec.NewPool(3)
 
 // fuzzDim maps an arbitrary fuzzed int to a usable dimension in [1, 96].
 func fuzzDim(x int) int {
@@ -98,7 +93,7 @@ func FuzzSMAWKMatchesBrute(f *testing.F) {
 			if i := diffIdx(smawk.RowMinima(a), want); i >= 0 {
 				t.Fatalf("seed=%d %dx%d: RowMinima differs from brute at row %d", seed, m, n, i)
 			}
-			if i := diffIdx(native.RowMinima(nil, fuzzPool, a), want); i >= 0 {
+			if i := diffIdx(native.RowMinima(nil, a), want); i >= 0 {
 				t.Fatalf("seed=%d %dx%d: native.RowMinima differs from brute at row %d", seed, m, n, i)
 			}
 			if i := diffIdx(smawk.MongeRowMaxima(a), smawk.RowMaximaBrute(a)); i >= 0 {
@@ -156,7 +151,7 @@ func FuzzTubeMaximaMatchesBrute(f *testing.F) {
 			gotJ, gotV := smawk.TubeMaxima(c)
 			wantJ, wantV := smawk.TubeMaximaBrute(c)
 			check(name, gotJ, wantJ, gotV, wantV)
-			natJ, natV := native.TubeMaxima(nil, fuzzPool, c)
+			natJ, natV := native.TubeMaxima(nil, c)
 			check(name+"/native", natJ, wantJ, natV, wantV)
 		}
 	})
@@ -191,7 +186,7 @@ func FuzzStaircaseRowMinima(f *testing.F) {
 				t.Fatalf("seed=%d %dx%d: StaircaseRowMinima = %d at row %d, brute says %d",
 					seed, m, n, got[i], i, want[i])
 			}
-			nat := native.StaircaseRowMinima(nil, fuzzPool, a)
+			nat := native.StaircaseRowMinima(nil, a)
 			if i := diffIdx(nat, want); i >= 0 {
 				t.Fatalf("seed=%d %dx%d: native.StaircaseRowMinima = %d at row %d, brute says %d",
 					seed, m, n, nat[i], i, want[i])

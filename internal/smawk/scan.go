@@ -1,10 +1,10 @@
 package smawk
 
-// The branchless dense scan core. Every dense scan in the repository —
-// the native backend's narrow row scans and column-segment partials
-// and the smawk facade's own narrow fast paths — routes through the
-// kernels here, so a single optimized loop serves both execution
-// backends.
+// The branchless dense scan core behind the narrow dense fast paths of
+// RowMinimaInto, MongeRowMaximaInto and StaircaseRowMinimaInto. The
+// native backend calls those solvers on its whole input, so one
+// optimized loop serves every sequential row search on a narrow dense
+// array.
 //
 // # Why bit-tricked selects
 //
@@ -38,7 +38,7 @@ package smawk
 //     +0.0 in IEEE round-to-nearest; every other value is unchanged),
 //     so -0.0 and +0.0 compare equal and the leftmost one wins, exactly
 //     as a < scan treats them.
-//   - ±Inf: ordinary ordered values under the key map; ArgMinFinite
+//   - ±Inf: ordinary ordered values under the key map; argMinFinite
 //     additionally reports a +Inf (the staircase blocked marker) winner
 //     as -1, so a fully blocked range has no minimum.
 //   - NaN: keyed above +Inf for minima (below everything for maxima),
@@ -52,13 +52,13 @@ import (
 	"math/bits"
 )
 
-// DenseScanCols bounds the width at which a straight branchless row
+// denseScanCols bounds the width at which a straight branchless row
 // scan beats the SMAWK recursion on dense input: below it the
 // O(rows*n) scan is all sequential loads the hardware prefetches (and
 // four independent compare lanes), while SMAWK's O(rows+n) bound hides
 // recursion and index-indirection constants. 32 columns of float64 is
 // four cache lines per row.
-const DenseScanCols = 32
+const denseScanCols = 32
 
 const (
 	signBit = uint64(1) << 63
@@ -98,11 +98,11 @@ func maxKey(v float64) uint64 {
 	return k | boolMask(u&absMask > infBits)
 }
 
-// ArgMin returns the leftmost index of the minimum of row under the
+// argMin returns the leftmost index of the minimum of row under the
 // kernel total order: on inputs without NaN this is exactly the
 // leftmost strict minimum a sequential < scan (RowMinimaBrute) finds.
 // row must be non-empty.
-func ArgMin(row []float64) int {
+func argMin(row []float64) int {
 	n := len(row)
 	if n < 8 {
 		bk, bj := minKey(row[0]), uint64(0)
@@ -142,9 +142,9 @@ func ArgMin(row []float64) int {
 	return int(j0)
 }
 
-// ArgMax returns the leftmost index of the maximum of row under the
+// argMax returns the leftmost index of the maximum of row under the
 // kernel total order; NaN never wins. row must be non-empty.
-func ArgMax(row []float64) int {
+func argMax(row []float64) int {
 	n := len(row)
 	if n < 8 {
 		bk, bj := maxKey(row[0]), uint64(0)
@@ -200,33 +200,32 @@ func mergeLanes(k0, j0, k1, j1, k2, j2, k3, j3 uint64) (uint64, uint64) {
 	return k0, j0
 }
 
-// ArgMinFinite returns the leftmost index of the minimum among entries
+// argMinFinite returns the leftmost index of the minimum among entries
 // that are not +Inf, or -1 when every entry is blocked — the staircase
 // row-minima contract (+Inf is the blocked marker and never wins).
-func ArgMinFinite(row []float64) int {
-	j := ArgMin(row)
+func argMinFinite(row []float64) int {
+	j := argMin(row)
 	if math.IsInf(row[j], 1) {
 		return -1
 	}
 	return j
 }
 
-// ScanRowMinimaInto fills out[lo:hi] with the leftmost-minimum column
-// of each row of rows(i) — the shared dense row-scan entry the native
-// backend's block solvers and the smawk facade both use. rows must
-// return a full row slice for every i in [lo, hi).
-func ScanRowMinimaInto(rows func(i int) []float64, lo, hi int, out []int) {
+// scanRowMinimaInto fills out[lo:hi] with the leftmost-minimum column
+// of each row of rows(i), the narrow dense path of RowMinimaInto. rows
+// must return a full row slice for every i in [lo, hi).
+func scanRowMinimaInto(rows func(i int) []float64, lo, hi int, out []int) {
 	for i := lo; i < hi; i++ {
-		out[i] = ArgMin(rows(i))
+		out[i] = argMin(rows(i))
 	}
 }
 
-// ScanStairRowMinimaInto is the staircase variant of ScanRowMinimaInto:
+// scanStairRowMinimaInto is the staircase variant of scanRowMinimaInto:
 // blocked (+Inf) entries never win and fully blocked rows yield -1,
 // matching StaircaseRowMinima.
-func ScanStairRowMinimaInto(rows func(i int) []float64, lo, hi int, out []int) {
+func scanStairRowMinimaInto(rows func(i int) []float64, lo, hi int, out []int) {
 	for i := lo; i < hi; i++ {
-		out[i] = ArgMinFinite(rows(i))
+		out[i] = argMinFinite(rows(i))
 	}
 }
 

@@ -107,21 +107,21 @@ func TestScanKernelsMatchScalarReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for _, n := range scanLens {
 		for fi, row := range scanRows(rng, n) {
-			if got, want := ArgMin(row), refArgMin(row); got != want {
-				t.Fatalf("ArgMin(n=%d, family=%d) = %d, want %d (row=%v)", n, fi, got, want, clip(row))
+			if got, want := argMin(row), refArgMin(row); got != want {
+				t.Fatalf("argMin(n=%d, family=%d) = %d, want %d (row=%v)", n, fi, got, want, clip(row))
 			}
-			if got, want := ArgMax(row), refArgMax(row); got != want {
-				t.Fatalf("ArgMax(n=%d, family=%d) = %d, want %d (row=%v)", n, fi, got, want, clip(row))
+			if got, want := argMax(row), refArgMax(row); got != want {
+				t.Fatalf("argMax(n=%d, family=%d) = %d, want %d (row=%v)", n, fi, got, want, clip(row))
 			}
-			if got, want := ArgMinFinite(row), refArgMinFinite(row); got != want {
-				t.Fatalf("ArgMinFinite(n=%d, family=%d) = %d, want %d (row=%v)", n, fi, got, want, clip(row))
+			if got, want := argMinFinite(row), refArgMinFinite(row); got != want {
+				t.Fatalf("argMinFinite(n=%d, family=%d) = %d, want %d (row=%v)", n, fi, got, want, clip(row))
 			}
 		}
 	}
 }
 
 // TestArgMinAgreesWithBruteOnNaNFreeInput pins the documented
-// coincidence: without NaN the kernel order is the < order, so ArgMin
+// coincidence: without NaN the kernel order is the < order, so argMin
 // must equal the classic brute scan used as the repository's oracle.
 func TestArgMinAgreesWithBruteOnNaNFreeInput(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
@@ -146,8 +146,8 @@ func TestArgMinAgreesWithBruteOnNaNFreeInput(t *testing.T) {
 					want = j
 				}
 			}
-			if got := ArgMin(row); got != want {
-				t.Fatalf("ArgMin(n=%d) = %d, want brute %d (row=%v)", n, got, want, clip(row))
+			if got := argMin(row); got != want {
+				t.Fatalf("argMin(n=%d) = %d, want brute %d (row=%v)", n, got, want, clip(row))
 			}
 		}
 	}
@@ -187,14 +187,14 @@ func FuzzArgMinKernels(f *testing.F) {
 		for i := 0; i+8 <= len(data); i += 8 {
 			row = append(row, math.Float64frombits(binary.LittleEndian.Uint64(data[i:])))
 		}
-		if got, want := ArgMin(row), refArgMin(row); got != want {
-			t.Fatalf("ArgMin = %d, want %d (row=%v)", got, want, clip(row))
+		if got, want := argMin(row), refArgMin(row); got != want {
+			t.Fatalf("argMin = %d, want %d (row=%v)", got, want, clip(row))
 		}
-		if got, want := ArgMax(row), refArgMax(row); got != want {
-			t.Fatalf("ArgMax = %d, want %d (row=%v)", got, want, clip(row))
+		if got, want := argMax(row), refArgMax(row); got != want {
+			t.Fatalf("argMax = %d, want %d (row=%v)", got, want, clip(row))
 		}
-		if got, want := ArgMinFinite(row), refArgMinFinite(row); got != want {
-			t.Fatalf("ArgMinFinite = %d, want %d (row=%v)", got, want, clip(row))
+		if got, want := argMinFinite(row), refArgMinFinite(row); got != want {
+			t.Fatalf("argMinFinite = %d, want %d (row=%v)", got, want, clip(row))
 		}
 	})
 }
@@ -223,7 +223,7 @@ func twoPassArgMin(row []float64) int {
 }
 
 // branchyArgMax is the scalar compare-and-branch argmax loop that
-// ArgMax is priced against.
+// argMax is priced against.
 func branchyArgMax(row []float64) int {
 	best, bv := 0, row[0]
 	for j, v := range row {
@@ -261,7 +261,7 @@ func BenchmarkScanKernels(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("argmin-branchless/n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				sink += ArgMin(rows[i%rot])
+				sink += argMin(rows[i%rot])
 			}
 		})
 		b.Run(fmt.Sprintf("argmax-branchy/n=%d", n), func(b *testing.B) {
@@ -271,7 +271,7 @@ func BenchmarkScanKernels(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("argmax-branchless/n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				sink += ArgMax(rows[i%rot])
+				sink += argMax(rows[i%rot])
 			}
 		})
 		// Hostile family: ascending drift plus noise makes "new maximum
@@ -292,7 +292,7 @@ func BenchmarkScanKernels(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("argmax-branchless-hostile/n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				sink += ArgMax(hostile[i%rot])
+				sink += argMax(hostile[i%rot])
 			}
 		})
 		if sink == math.MinInt {

@@ -33,15 +33,15 @@ func RowMaxima(a marray.Matrix) []int {
 // RowMinimaInto is RowMinima writing into a caller-provided slice of
 // length >= a.Rows(). Recursion scratch comes from a pooled workspace, so
 // the call allocates nothing; out is not touched for rows beyond a.Rows().
-// The native backend's block solvers use this to keep the per-query alloc
-// budget at the answer slice alone.
+// The native backend's row-minima kernel is this call on its whole input,
+// so a native query allocates only its answer slice.
 func RowMinimaInto(a marray.Matrix, out []int) {
 	// Narrow dense arrays skip the recursion: the branchless row scan
 	// (scan.go) over zero-copy row views beats SMAWK's O(m+n) bound
 	// until the row no longer fits a handful of cache lines, and it
 	// applies the identical leftmost tie rule.
-	if d, ok := a.(*marray.Dense); ok && d.Cols() <= DenseScanCols {
-		ScanRowMinimaInto(d.RowView, 0, d.Rows(), out)
+	if d, ok := a.(*marray.Dense); ok && d.Cols() <= denseScanCols {
+		scanRowMinimaInto(d.RowView, 0, d.Rows(), out)
 		return
 	}
 	w := getWS()
@@ -62,11 +62,11 @@ func MongeRowMaxima(a marray.Matrix) []int {
 // MongeRowMaximaInto is MongeRowMaxima writing into a caller-provided
 // slice of length >= a.Rows(), allocation-free like RowMinimaInto.
 func MongeRowMaximaInto(a marray.Matrix, out []int) {
-	// Narrow dense arrays scan directly: ArgMax is already the leftmost
+	// Narrow dense arrays scan directly: argMax is already the leftmost
 	// maximum, so the reverse-and-remap detour below is unnecessary.
-	if d, ok := a.(*marray.Dense); ok && d.Cols() <= DenseScanCols {
+	if d, ok := a.(*marray.Dense); ok && d.Cols() <= denseScanCols {
 		for i := range out[:d.Rows()] {
-			out[i] = ArgMax(d.RowView(i))
+			out[i] = argMax(d.RowView(i))
 		}
 		return
 	}

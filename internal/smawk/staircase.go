@@ -25,7 +25,7 @@ func StaircaseRowMinima(a marray.Matrix) []int {
 // StaircaseRowMinimaInto is StaircaseRowMinima writing into a
 // caller-provided slice of length >= a.Rows(), drawing all scratch from a
 // pooled workspace so the call itself allocates nothing. The native
-// backend's block solvers rely on this to keep alloc budgets intact.
+// backend's staircase kernel is this call on its whole input.
 func StaircaseRowMinimaInto(a marray.Matrix, out []int) {
 	m, n := a.Rows(), a.Cols()
 	if m == 0 {
@@ -34,8 +34,8 @@ func StaircaseRowMinimaInto(a marray.Matrix, out []int) {
 	// Narrow dense arrays take the branchless finite-minimum scan: +Inf
 	// (blocked) entries lose by key order rather than by boundary
 	// bookkeeping, so no BoundaryOf pass is needed either.
-	if d, ok := a.(*marray.Dense); ok && n <= DenseScanCols {
-		ScanStairRowMinimaInto(d.RowView, 0, m, out)
+	if d, ok := a.(*marray.Dense); ok && n <= denseScanCols {
+		scanStairRowMinimaInto(d.RowView, 0, m, out)
 		return
 	}
 	w := getWS()

@@ -323,9 +323,9 @@ func MinPlus(a, b Matrix) (p *MinPlusProduct, err error) {
 
 // MLinkPath returns the cost of the cheapest path from node 0 to node
 // n using exactly M forward links under the Monge weight w, and its
-// node sequence (length M+1). The solver picks between repeated
-// ⊗-squaring of the link matrix and a Lagrangian (λ-parametrized)
-// search over the least-weight subsequence DP; both are exact. No
+// node sequence (length M+1). The solver runs M layered SMAWK sweeps
+// for M <= 16 and otherwise a Lagrangian (λ-parametrized) search over
+// the least-weight subsequence DP; both are exact. No
 // M-link path (M > n) yields (+Inf, nil, nil); a weight failing the
 // sampled quadrangle screen returns ErrNotMonge.
 func MLinkPath(n int, w LinkWeight, M int) (cost float64, path []int, err error) {
